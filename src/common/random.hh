@@ -59,12 +59,13 @@ class Rng
     /**
      * Geometric-ish draw with the given mean, always at least
      * @p least. Used to space memory operations along the
-     * instruction stream.
+     * instruction stream. Makes exactly one next() draw when
+     * @p mean > 0 and none otherwise; skipGeometric() relies on that.
      */
     std::uint64_t
     geometric(double mean, std::uint64_t least = 0)
     {
-        if (mean <= 0)
+        if (geometricIsConstant(mean))
             return least;
         double u = uniform();
         // Inverse CDF of the geometric distribution.
@@ -73,13 +74,33 @@ class Rng
         return v < least ? least : v;
     }
 
+    /**
+     * Advance the state exactly as geometric(@p mean) would, without
+     * computing the draw: for callers that discard the value.
+     */
+    void
+    skipGeometric(double mean)
+    {
+        if (!geometricIsConstant(mean))
+            next();
+    }
+
   private:
+    /** geometric()'s no-draw guard; `mean <= 0` so NaN draws too. */
+    static bool
+    geometricIsConstant(double mean)
+    {
+        return mean <= 0;
+    }
+
     /** Cheap natural log; accurate enough for trace spacing. */
     static double
     logApprox(double x)
     {
-        // ln(x) via frexp-style decomposition would pull in <cmath>;
-        // we accept it here — precision is irrelevant for synthesis.
+        // Range-reduce by powers of two into (0.5, 1], then an atanh
+        // series.  Plain arithmetic rather than std::log, so the draws
+        // (and with them every synthetic trace) cannot vary with the
+        // platform's libm; precision is irrelevant for synthesis.
         if (x <= 0)
             return -40.0;
         double sum = 0.0;

@@ -254,13 +254,13 @@ System::resetAllStats()
     hier->resetStats();
 }
 
-RunResult
-System::run()
+void
+System::functionalWarm()
 {
-    // Phase 0: functional cache warm-up.  Replay a prefix of each
-    // core's trace through the tag arrays so the measured region does
-    // not see an artificially cold 4 MB L2 (the paper's SimPoint runs
-    // start from warm state).
+    // Replay a prefix of each core's trace through the tag arrays so
+    // the measured region does not see an artificially cold 4 MB L2
+    // (the paper's SimPoint runs start from warm state).  The gaps
+    // are unused here, so the generators may skip drawing them.
     std::uint64_t warm_ops = cfg.functionalWarmupOps;
     if (warm_ops == 0) {
         const std::uint64_t l2_lines = cfg.hier.l2Bytes / lineBytes;
@@ -269,7 +269,7 @@ System::run()
     }
     for (std::uint64_t k = 0; k < warm_ops; ++k) {
         for (unsigned i = 0; i < cfg.nCores(); ++i) {
-            TraceOp op = gens[i]->next();
+            TraceOp op = gens[i]->nextWarm();
             if (op.kind == TraceOp::Kind::Prefetch)
                 hier->functionalPrefetch(static_cast<int>(i), op.addr);
             else
@@ -278,6 +278,13 @@ System::run()
                     op.kind == TraceOp::Kind::Store);
         }
     }
+}
+
+RunResult
+System::run()
+{
+    // Phase 0: functional cache warm-up.
+    functionalWarm();
 
     // Time the event-driven phases only: sim-rate should reflect the
     // kernel, not process start-up or the functional replay above.

@@ -447,6 +447,10 @@ class System : private CompletionSink
     void complete(unsigned channel, TransPtr t,
                   const PhaseDurations &pd, bool has_profile) override;
 
+    /** Phase 0 of run(): functionally replay each core's trace
+     *  prefix (k outer, cores inner) through the cache tag arrays. */
+    void functionalWarm();
+
     void resetAllStats();
     RunResult collect(Tick window_ticks) const;
 

@@ -23,6 +23,15 @@ SyntheticGenerator::SyntheticGenerator(const BenchProfile &profile_in,
     // Lanes stay line-aligned so stride patterns land on real
     // cacheline boundaries.
     const Addr lane = lineAlign(stream_area / prof.nStreams);
+    if (lane < lineBytes) {
+        fatal("profile '%s' (footprint %llu B, hot set %llu B) leaves "
+              "less than one %u B line of stream area for each of its "
+              "%u streams",
+              prof.name.c_str(),
+              static_cast<unsigned long long>(prof.footprint),
+              static_cast<unsigned long long>(prof.hotBytes),
+              lineBytes, prof.nStreams);
+    }
     streams.resize(prof.nStreams);
     storeStreams = static_cast<size_t>(
         prof.storeFrac * static_cast<double>(prof.nStreams) + 0.5);
@@ -51,8 +60,9 @@ SyntheticGenerator::randomIn(Addr base_addr, Addr size)
     return base_addr + rng.below(size);
 }
 
+template <bool WantGap>
 TraceOp
-SyntheticGenerator::next()
+SyntheticGenerator::step()
 {
     ++nOps;
     if (!queued.empty()) {
@@ -63,8 +73,12 @@ SyntheticGenerator::next()
     }
 
     TraceOp op;
-    op.gap = static_cast<std::uint32_t>(
-        rng.geometric(prof.meanGap, 0));
+    if constexpr (WantGap) {
+        op.gap = static_cast<std::uint32_t>(
+            rng.geometric(prof.meanGap, 0));
+    } else {
+        rng.skipGeometric(prof.meanGap);
+    }
 
     if (rng.chance(prof.streamFrac)) {
         // Sequential stream access.  Streams advance in lockstep
@@ -124,6 +138,18 @@ SyntheticGenerator::next()
         ? TraceOp::Kind::Store
         : TraceOp::Kind::Load;
     return op;
+}
+
+TraceOp
+SyntheticGenerator::next()
+{
+    return step<true>();
+}
+
+TraceOp
+SyntheticGenerator::nextWarm()
+{
+    return step<false>();
 }
 
 } // namespace fbdp

@@ -41,6 +41,16 @@ class Generator
     /** Produce the next operation (the trace never ends). */
     virtual TraceOp next() = 0;
 
+    /**
+     * The op next() would produce, for callers that ignore its gap
+     * (the functional cache pre-warm): same kind and addr, same
+     * effect on the generator's state, gap unspecified (a generator
+     * that skips drawing it returns 0).  The default is next()
+     * itself, so recorders and trace replayers keep handling full
+     * ops.
+     */
+    virtual TraceOp nextWarm() { return next(); }
+
     /** The profile driving this trace. */
     virtual const BenchProfile &profile() const = 0;
 };
@@ -59,6 +69,7 @@ class SyntheticGenerator : public Generator
                        std::uint64_t seed, bool sw_prefetch);
 
     TraceOp next() override;
+    TraceOp nextWarm() override;
     const BenchProfile &profile() const override { return prof; }
 
     std::uint64_t opsGenerated() const { return nOps; }
@@ -71,6 +82,10 @@ class SyntheticGenerator : public Generator
     std::uint64_t prefetchOps() const { return nPrefetchOps; }
 
   private:
+    /** next() and nextWarm(): one op, its gap drawn iff @p WantGap. */
+    template <bool WantGap>
+    TraceOp step();
+
     Addr randomIn(Addr base, Addr size);
 
     BenchProfile prof;

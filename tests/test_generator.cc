@@ -1,14 +1,19 @@
 /**
  * @file
  * Synthetic trace generator tests: determinism, stream structure,
- * software-prefetch emission, stride patterns, address ranges.
+ * software-prefetch emission, stride patterns, address ranges, and
+ * the nextWarm() contract.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <set>
+#include <string>
 
+#include "common/random.hh"
 #include "workload/generator.hh"
+#include "workload/trace_file.hh"
 
 namespace fbdp {
 namespace {
@@ -53,6 +58,34 @@ TEST(GeneratorTest, AddressesStayInSlice)
             EXPECT_GE(a, base);
             EXPECT_LT(a, base + p.footprint);
         }
+    }
+}
+
+TEST(GeneratorTest, SubLineStreamLanesAreFatal)
+{
+    // Four streams sharing 128 B: each lane would round down to 0
+    // lines, and a jump would draw from an underflowed range.
+    BenchProfile p = benchProfile("swim");
+    p.nStreams = 4;
+    p.hotBytes = 1ull << 20;
+    p.footprint = p.hotBytes + 128;
+    EXPECT_DEATH(SyntheticGenerator(p, 4ull << 30, 1, true),
+                 "profile 'swim' \\(footprint 1048704 B, hot set "
+                 "1048576 B\\).*4 streams");
+}
+
+TEST(GeneratorTest, OneLineStreamLanesStayInSlice)
+{
+    const Addr base = 4ull << 30;
+    BenchProfile p = benchProfile("swim");
+    p.nStreams = 4;
+    p.footprint = p.hotBytes + 4 * lineBytes;
+    p.jumpProb = 0.5;
+    SyntheticGenerator g(p, base, 1, false);
+    for (int i = 0; i < 20'000; ++i) {
+        const Addr a = g.next().addr;
+        ASSERT_GE(a, base);
+        ASSERT_LT(a, base + p.footprint);
     }
 }
 
@@ -200,6 +233,69 @@ TEST(GeneratorTest, ExcludedProgramsModelledButNotInSuite)
         EXPECT_NE(p.name, "mcf");
     }
     EXPECT_LT(benchProfile("mcf").baseIpc, 1.0) << "mcf's low IPC";
+}
+
+/**
+ * nextWarm() contract: interleaving nextWarm() with next() yields the
+ * op stream and generator state of next() alone, minus the gaps of
+ * the nextWarm() ops.
+ */
+TEST(GeneratorTest, NextWarmMatchesNextExceptGap)
+{
+    for (const BenchProfile &p : allProfiles()) {
+        for (bool sp : {false, true}) {
+            for (std::uint64_t seed : {1u, 2u}) {
+                SCOPED_TRACE(p.name + (sp ? " sp" : " no-sp")
+                             + " seed " + std::to_string(seed));
+                SyntheticGenerator mixed(p, 1ull << 32, seed, sp);
+                SyntheticGenerator ref(p, 1ull << 32, seed, sp);
+                Rng pick(seed * 7919);
+                for (int i = 0; i < 20'000; ++i) {
+                    const bool warm = pick.chance(0.5);
+                    const TraceOp a = warm ? mixed.nextWarm()
+                                           : mixed.next();
+                    const TraceOp b = ref.next();
+                    ASSERT_EQ(static_cast<int>(a.kind),
+                              static_cast<int>(b.kind)) << "op " << i;
+                    ASSERT_EQ(a.addr, b.addr) << "op " << i;
+                    ASSERT_EQ(a.gap, warm ? 0u : b.gap) << "op " << i;
+                }
+                EXPECT_EQ(mixed.opsGenerated(), ref.opsGenerated());
+                EXPECT_EQ(mixed.streamOps(), ref.streamOps());
+                EXPECT_EQ(mixed.hotOps(), ref.hotOps());
+                EXPECT_EQ(mixed.coldOps(), ref.coldOps());
+                EXPECT_EQ(mixed.prefetchOps(), ref.prefetchOps());
+                EXPECT_EQ(mixed.streamLineCrossings(),
+                          ref.streamLineCrossings());
+            }
+        }
+    }
+}
+
+TEST(GeneratorTest, RecorderNextWarmRecordsFullGaps)
+{
+    // A generator without its own nextWarm() falls back to next(), so
+    // a recorder driven by the pre-warm still writes the real gaps.
+    const std::string path =
+        ::testing::TempDir() + "fbdp_generator_warm_test.txt";
+    SyntheticGenerator gen(benchProfile("parser"), 0, 5, true);
+    {
+        TraceRecorder rec(&gen, path);
+        for (int i = 0; i < 2000; ++i)
+            rec.nextWarm();
+    }
+    SyntheticGenerator ref(benchProfile("parser"), 0, 5, true);
+    TraceFileGenerator replay(path);
+    std::uint64_t gaps = 0;
+    for (int i = 0; i < 2000; ++i) {
+        const TraceOp a = ref.next();
+        const TraceOp b = replay.next();
+        ASSERT_EQ(a.addr, b.addr) << "op " << i;
+        ASSERT_EQ(a.gap, b.gap) << "op " << i;
+        gaps += b.gap;
+    }
+    EXPECT_GT(gaps, 0u);
+    std::remove(path.c_str());
 }
 
 /** Property over all profiles: generator invariants. */

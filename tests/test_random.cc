@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/random.hh"
 
 namespace fbdp {
@@ -83,6 +85,51 @@ TEST(RngTest, GeometricZeroMean)
     Rng r(19);
     EXPECT_EQ(r.geometric(0.0), 0u);
     EXPECT_EQ(r.geometric(-1.0, 5), 5u);
+}
+
+// The RNG consumption contract skipGeometric() and the generators'
+// nextWarm() depend on.  Two xorshift states are equal iff their next
+// outputs are, so comparing one more draw compares the states.
+
+TEST(RngTest, GeometricDrawsOnceForPositiveMean)
+{
+    for (double mean : {1e-9, 0.5, 8.0, 1e6}) {
+        Rng a(21), b(21);
+        a.geometric(mean, 3);
+        b.next();
+        EXPECT_EQ(a.next(), b.next()) << "mean " << mean;
+    }
+}
+
+TEST(RngTest, GeometricDrawsNothingForNonPositiveMean)
+{
+    for (double mean : {0.0, -0.0, -1.0}) {
+        Rng a(23), b(23);
+        a.geometric(mean, 3);
+        EXPECT_EQ(a.next(), b.next()) << "mean " << mean;
+    }
+}
+
+TEST(RngTest, SkipGeometricAdvancesLikeGeometric)
+{
+    for (double mean : {-1.0, 0.0, 1e-9, 0.5, 8.0, 1e6}) {
+        Rng a(29), b(29);
+        for (int i = 0; i < 100; ++i) {
+            a.geometric(mean);
+            b.skipGeometric(mean);
+        }
+        EXPECT_EQ(a.next(), b.next()) << "mean " << mean;
+    }
+}
+
+TEST(RngTest, SkipGeometricDrawsOnceForNaNMean)
+{
+    // The guard is `mean <= 0`, which NaN fails: geometric() would
+    // draw, so skipGeometric() must too.
+    Rng a(31), b(31);
+    a.skipGeometric(std::numeric_limits<double>::quiet_NaN());
+    b.next();
+    EXPECT_EQ(a.next(), b.next());
 }
 
 } // namespace
