@@ -1,8 +1,17 @@
 #include "cache/cache_array.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace fbdp {
+
+namespace {
+
+/** Host cacheline, in tag-array words. */
+constexpr std::size_t hostLineWords = 64 / sizeof(std::uint64_t);
+
+} // namespace
 
 CacheArray::CacheArray(std::uint64_t size_bytes, unsigned ways)
     : nSets(0), nWays(ways)
@@ -17,83 +26,37 @@ CacheArray::CacheArray(std::uint64_t size_bytes, unsigned ways)
     fbdp_assert(nSets >= 1, "cache has zero sets");
     if ((nSets & (nSets - 1)) == 0)
         setMask = nSets - 1;
-    lines.resize(static_cast<size_t>(nSets) * nWays);
-}
-
-CacheArray::Line *
-CacheArray::lookup(Addr line_addr, bool touch)
-{
-    const unsigned set = setOf(line_addr);
-    Line *base = &lines[static_cast<size_t>(set) * nWays];
-    for (unsigned w = 0; w < nWays; ++w) {
-        if (base[w].valid && base[w].lineAddr == line_addr) {
-            if (touch)
-                base[w].lruSeq = nextLru++;
-            ++nHits;
-            return &base[w];
-        }
-    }
-    ++nMisses;
-    return nullptr;
-}
-
-CacheArray::Victim
-CacheArray::install(Addr line_addr, bool dirty)
-{
-    const unsigned set = setOf(line_addr);
-    Line *base = &lines[static_cast<size_t>(set) * nWays];
-
-    Line *slot = nullptr;
-    for (unsigned w = 0; w < nWays; ++w) {
-        if (base[w].valid && base[w].lineAddr == line_addr) {
-            // Already present: refresh.
-            base[w].dirty = base[w].dirty || dirty;
-            base[w].lruSeq = nextLru++;
-            return Victim{};
-        }
-        if (!slot && !base[w].valid)
-            slot = &base[w];
-    }
-
-    Victim v;
-    if (!slot) {
-        slot = &base[0];
-        for (unsigned w = 1; w < nWays; ++w) {
-            if (base[w].lruSeq < slot->lruSeq)
-                slot = &base[w];
-        }
-        v.valid = true;
-        v.lineAddr = slot->lineAddr;
-        v.dirty = slot->dirty;
-    }
-
-    slot->lineAddr = line_addr;
-    slot->valid = true;
-    slot->dirty = dirty;
-    slot->lruSeq = nextLru++;
-    return v;
+    // Over-allocate one host line so the first set can start on a
+    // line boundary (then a 4-way set fills exactly one line).
+    store.resize(static_cast<std::size_t>(nSets) * 2 * nWays
+                 + hostLineWords - 1);
+    const auto misalign = reinterpret_cast<std::uintptr_t>(store.data())
+        / sizeof(std::uint64_t) % hostLineWords;
+    first = (hostLineWords - misalign) % hostLineWords;
+    reset();
 }
 
 bool
 CacheArray::invalidate(Addr line_addr)
 {
-    const unsigned set = setOf(line_addr);
-    Line *base = &lines[static_cast<size_t>(set) * nWays];
-    for (unsigned w = 0; w < nWays; ++w) {
-        if (base[w].valid && base[w].lineAddr == line_addr) {
-            base[w].valid = false;
-            return true;
-        }
-    }
-    return false;
+    Addr *tags = setBase(line_addr);
+    const int w = findWay(tags, line_addr);
+    if (w < 0)
+        return false;
+    tags[w] = invalidTag;
+    tags[nWays + static_cast<unsigned>(w)] = 0;
+    return true;
 }
 
 void
 CacheArray::reset()
 {
-    for (auto &l : lines)
-        l.valid = false;
-    nextLru = 0;
+    for (std::size_t s = 0; s < nSets; ++s) {
+        Addr *tags = &store[first + s * 2 * nWays];
+        std::fill(tags, tags + nWays, invalidTag);
+        std::fill(tags + nWays, tags + 2 * nWays, 0);
+    }
+    nextLru = 1;
     resetStats();
 }
 

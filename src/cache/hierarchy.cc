@@ -25,9 +25,8 @@ CacheHierarchy::CacheHierarchy(EventQueue *event_queue, unsigned n_cores,
 }
 
 void
-CacheHierarchy::installL1(int core, Addr line_addr, bool dirty)
+CacheHierarchy::writebackL1Victim(int core, const CacheArray::Victim &v)
 {
-    auto v = l1[static_cast<size_t>(core)].install(line_addr, dirty);
     if (v.valid && v.dirty)
         l2InstallWithWriteback(v.lineAddr, true, core);
 }
@@ -50,17 +49,14 @@ CacheHierarchy::access(int core, Addr addr, bool store,
     const Addr line = lineAlign(addr);
     auto c = static_cast<size_t>(core);
 
-    if (CacheArray::Line *l = l1[c].lookup(line)) {
-        if (store)
-            l->dirty = true;
+    if (l1[c].lookup(line, /*touch=*/true, store))
         return Result{Outcome::L1Hit, eq->now()};
-    }
 
     if (l1Pending[c] >= cfg.l1Mshrs)
         return Result{Outcome::Blocked, 0};
 
     if (l2.lookup(line)) {
-        installL1(core, line, store);
+        writebackL1Victim(core, l1[c].insertAbsent(line, store));
         return Result{Outcome::L2Hit, eq->now() + cfg.l2HitLatency};
     }
 
@@ -157,7 +153,10 @@ CacheHierarchy::fillComplete(Addr line_addr, Tick when)
     for (auto &w : waiters) {
         if (w.isPrefetch)
             continue;
-        installL1(w.coreId, line_addr, w.isStore);
+        // Two waiters of one core may share the fill, so the line can
+        // already be resident: install(), not insertAbsent().
+        CacheArray &l1c = l1[static_cast<size_t>(w.coreId)];
+        writebackL1Victim(w.coreId, l1c.install(line_addr, w.isStore));
         fbdp_assert(l1Pending[static_cast<size_t>(w.coreId)] > 0,
                     "L1 pending underflow");
         --l1Pending[static_cast<size_t>(w.coreId)];
@@ -228,17 +227,12 @@ CacheHierarchy::functionalAccess(int core, Addr addr, bool store)
 {
     const Addr line = lineAlign(addr);
     auto c = static_cast<size_t>(core);
-    if (CacheArray::Line *l = l1[c].lookup(line)) {
-        if (store)
-            l->dirty = true;
+    if (l1[c].lookup(line, /*touch=*/true, store))
         return;
-    }
-    if (!l2.lookup(line)) {
-        // Install without generating memory traffic; warm-up victims
-        // are silently dropped.
-        l2.install(line, false);
-    }
-    auto v = l1[c].install(line, store);
+    // Install without generating memory traffic; warm-up victims are
+    // silently dropped.
+    l2.lookupOrInstall(line, /*touch=*/true);
+    const auto v = l1[c].insertAbsent(line, store);
     if (v.valid && v.dirty)
         l2.install(v.lineAddr, true);
 }
@@ -246,9 +240,7 @@ CacheHierarchy::functionalAccess(int core, Addr addr, bool store)
 void
 CacheHierarchy::functionalPrefetch(int, Addr addr)
 {
-    const Addr line = lineAlign(addr);
-    if (!l2.lookup(line, /*touch=*/false))
-        l2.install(line, false);
+    l2.lookupOrInstall(lineAlign(addr), /*touch=*/false);
 }
 
 } // namespace fbdp

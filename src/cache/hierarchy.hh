@@ -130,7 +130,7 @@ class CacheHierarchy
 
   private:
     void fillComplete(Addr line_addr, Tick when);
-    void installL1(int core, Addr line_addr, bool dirty);
+    void writebackL1Victim(int core, const CacheArray::Victim &v);
     void l2InstallWithWriteback(Addr line_addr, bool dirty, int core);
     void pokeRetries();
 

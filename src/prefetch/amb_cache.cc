@@ -1,5 +1,7 @@
 #include "prefetch/amb_cache.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace fbdp {
@@ -14,83 +16,26 @@ AmbCache::AmbCache(unsigned entries, unsigned ways)
                 "entries %u not divisible by ways %u", entries, nWays);
     if ((nSets & (nSets - 1)) == 0)
         setMask = nSets - 1;
+    tags.resize(entries);
+    seqs.resize(entries);
     lines.resize(entries);
-}
-
-unsigned
-AmbCache::setOf(Addr line_addr) const
-{
-    // Fold upper address bits into the index.  The lines that reach
-    // one AMB share their low line-index bits with the channel/DIMM
-    // selector of the interleaving, so a plain modulo would alias
-    // every resident line onto a handful of sets; hardware indexes
-    // with DIMM-local bits instead, which this is equivalent to.
-    std::uint64_t l = lineIndex(line_addr);
-    l ^= l >> 5;
-    l ^= l >> 11;
-    if (setMask)
-        return static_cast<unsigned>(l & setMask);
-    return static_cast<unsigned>(l % nSets);
-}
-
-AmbCache::Line *
-AmbCache::lookup(Addr line_addr)
-{
-    const unsigned set = setOf(line_addr);
-    Line *base = &lines[static_cast<size_t>(set) * nWays];
-    for (unsigned w = 0; w < nWays; ++w) {
-        if (base[w].valid && base[w].lineAddr == line_addr)
-            return &base[w];
-    }
-    return nullptr;
-}
-
-const AmbCache::Line *
-AmbCache::lookup(Addr line_addr) const
-{
-    return const_cast<AmbCache *>(this)->lookup(line_addr);
+    nValid.resize(nSets);
+    reset();
 }
 
 AmbCache::Line *
 AmbCache::insert(Addr line_addr, Tick ready_at)
 {
-    // One pass gathers the match, the first invalid way, and the FIFO
-    // victim together (insert runs K times per region fetch, so the
-    // set scan is hot).
     const unsigned set = setOf(line_addr);
-    Line *base = &lines[static_cast<size_t>(set) * nWays];
-
-    Line *first_invalid = nullptr;
-    Line *oldest = base;
-    for (unsigned w = 0; w < nWays; ++w) {
-        Line &l = base[w];
-        if (l.valid && l.lineAddr == line_addr) {
-            l.readyAt = ready_at;
-            l.fifoSeq = nextSeq++;
-            return &l;
-        }
-        if (!l.valid) {
-            if (!first_invalid)
-                first_invalid = &l;
-        } else if (l.fifoSeq < oldest->fifoSeq) {
-            oldest = &l;
-        }
-    }
-
-    Line *victim = first_invalid;
-    if (!victim) {
-        // FIFO: evict the oldest insertion in the set.
-        victim = oldest;
-        ++nEvictions;
-    }
-
-    victim->lineAddr = line_addr;
-    victim->readyAt = ready_at;
-    victim->valid = true;
-    victim->used = false;
-    victim->fifoSeq = nextSeq++;
-    ++nInsertions;
-    return victim;
+    const std::size_t base = static_cast<std::size_t>(set) * nWays;
+    const int w = findWay(base, line_addr);
+    if (w < 0)
+        return fill(set, line_addr, ready_at, nullptr);
+    // Resident: refresh in place (a re-insert restarts its FIFO age).
+    const std::size_t i = base + static_cast<unsigned>(w);
+    lines[i].readyAt = ready_at;
+    seqs[i] = nextSeq++;
+    return &lines[i];
 }
 
 AmbCache::Line *
@@ -98,62 +43,68 @@ AmbCache::insertIfAbsent(Addr line_addr, Tick ready_at,
                          Evicted *evicted)
 {
     const unsigned set = setOf(line_addr);
-    Line *base = &lines[static_cast<size_t>(set) * nWays];
+    const std::size_t base = static_cast<std::size_t>(set) * nWays;
+    const int w = findWay(base, line_addr);
+    if (w < 0)
+        return fill(set, line_addr, ready_at, evicted);
+    return &lines[base + static_cast<unsigned>(w)];
+}
 
-    Line *first_invalid = nullptr;
-    Line *oldest = base;
-    for (unsigned w = 0; w < nWays; ++w) {
-        Line &l = base[w];
-        if (l.valid && l.lineAddr == line_addr)
-            return &l;  // resident: keep FIFO age and readiness
-        if (!l.valid) {
-            if (!first_invalid)
-                first_invalid = &l;
-        } else if (l.fifoSeq < oldest->fifoSeq) {
-            oldest = &l;
-        }
+AmbCache::Line *
+AmbCache::fill(unsigned set, Addr line_addr, Tick ready_at,
+               Evicted *evicted)
+{
+    const std::size_t base = static_cast<std::size_t>(set) * nWays;
+    const std::uint64_t *s = &seqs[base];
+    unsigned v = 0;
+    std::uint64_t oldest = s[0];
+    for (unsigned w = 1; w < nWays; ++w) {
+        const bool older = s[w] < oldest;
+        oldest = older ? s[w] : oldest;
+        v = older ? w : v;
     }
 
-    Line *victim = first_invalid;
-    if (!victim) {
-        victim = oldest;
+    const std::size_t i = base + v;
+    if (nValid[set] == nWays) {
+        // FIFO: the oldest insertion in the set goes.
         ++nEvictions;
-        if (evicted) {
-            evicted->lineAddr = victim->lineAddr;
-            evicted->used = victim->used;
-            evicted->valid = true;
-        }
+        if (evicted)
+            *evicted = Evicted{tags[i], lines[i].used, true};
+    } else {
+        ++nValid[set];
     }
-
-    victim->lineAddr = line_addr;
-    victim->readyAt = ready_at;
-    victim->valid = true;
-    victim->used = false;
-    victim->fifoSeq = nextSeq++;
+    tags[i] = line_addr;
+    seqs[i] = nextSeq++;
+    lines[i] = Line{ready_at, false};
     ++nInsertions;
-    return victim;
+    return &lines[i];
 }
 
 bool
 AmbCache::invalidate(Addr line_addr, bool *was_used)
 {
-    if (Line *l = lookup(line_addr)) {
-        l->valid = false;
-        if (was_used)
-            *was_used = l->used;
-        return true;
-    }
-    return false;
+    const unsigned set = setOf(line_addr);
+    const std::size_t base = static_cast<std::size_t>(set) * nWays;
+    const int w = findWay(base, line_addr);
+    if (w < 0)
+        return false;
+    const std::size_t i = base + static_cast<unsigned>(w);
+    tags[i] = invalidTag;
+    seqs[i] = 0;
+    --nValid[set];
+    if (was_used)
+        *was_used = lines[i].used;
+    return true;
 }
 
 void
 AmbCache::reset()
 {
-    for (auto &l : lines) {
-        l.valid = false;
-        l.used = false;
-    }
-    nextSeq = 0;
+    std::fill(tags.begin(), tags.end(), invalidTag);
+    std::fill(seqs.begin(), seqs.end(), 0);
+    std::fill(lines.begin(), lines.end(), Line{});
+    std::fill(nValid.begin(), nValid.end(), 0u);
+    nextSeq = 1;
     nInsertions = 0;
     nEvictions = 0;
 }
@@ -162,8 +113,8 @@ unsigned
 AmbCache::population() const
 {
     unsigned n = 0;
-    for (const auto &l : lines)
-        n += l.valid ? 1 : 0;
+    for (unsigned c : nValid)
+        n += c;
     return n;
 }
 

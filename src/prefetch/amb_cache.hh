@@ -19,11 +19,22 @@
  * reaches the SRAM when the pipelined column access completes.  A
  * demand hit on an in-flight line waits for @c readyAt, not for a full
  * DRAM access.
+ *
+ * Layout: the tags and the FIFO insertion sequence numbers are two
+ * contiguous set-major arrays, the single source of truth for which
+ * way holds what; the Line payload array only carries readiness and
+ * the used bit.  A free way holds the tag @c invalidTag (never
+ * line-aligned, so no probe matches it) and sequence 0, while
+ * insertions number from 1, so the first free way in way order is the
+ * sequence argmin of its set.  Probes and victim choice are full passes
+ * with conditional selects rather than early-exit branches on the
+ * data, as in CacheArray.
  */
 
 #ifndef FBDP_PREFETCH_AMB_CACHE_HH
 #define FBDP_PREFETCH_AMB_CACHE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -38,13 +49,11 @@ class AmbCache
     /** Sentinel readyAt for "fill not yet scheduled". */
     static constexpr Tick fillPending = maxTick;
 
+    /** Payload of a resident line (its tag lives in the tag array). */
     struct Line
     {
-        Addr lineAddr = 0;      ///< line-aligned physical address
         Tick readyAt = 0;       ///< data present in the SRAM from here
-        bool valid = false;
         bool used = false;      ///< serviced at least one demand read
-        std::uint64_t fifoSeq = 0;
     };
 
     /** What insertIfAbsent() displaced, for pollution accounting and
@@ -63,9 +72,21 @@ class AmbCache
      */
     AmbCache(unsigned entries, unsigned ways);
 
-    /** Find a valid line. @return nullptr on miss. */
-    Line *lookup(Addr line_addr);
-    const Line *lookup(Addr line_addr) const;
+    /** Find a valid line (line-aligned address). @return nullptr on
+     *  miss. */
+    Line *
+    lookup(Addr line_addr)
+    {
+        const std::size_t base =
+            static_cast<std::size_t>(setOf(line_addr)) * nWays;
+        const int w = findWay(base, line_addr);
+        return w < 0 ? nullptr : &lines[base + static_cast<unsigned>(w)];
+    }
+    const Line *
+    lookup(Addr line_addr) const
+    {
+        return const_cast<AmbCache *>(this)->lookup(line_addr);
+    }
 
     /**
      * Insert a line (FIFO-evicting inside its set if needed).  An
@@ -96,25 +117,64 @@ class AmbCache
     unsigned ways() const { return nWays; }
     unsigned sets() const { return nSets; }
 
-    /** Number of currently valid lines (for tests). */
+    /** Number of currently valid lines. */
     unsigned population() const;
 
     std::uint64_t insertions() const { return nInsertions; }
     std::uint64_t evictions() const { return nEvictions; }
 
   private:
-    unsigned setOf(Addr line_addr) const;
+    /** Tag of a free way; never line-aligned, so it matches no probe. */
+    static constexpr Addr invalidTag = ~Addr(0);
+
+    unsigned
+    setOf(Addr line_addr) const
+    {
+        // Fold upper address bits into the index.  The lines that
+        // reach one AMB share their low line-index bits with the
+        // channel/DIMM selector of the interleaving, so a plain modulo
+        // would alias every resident line onto a handful of sets;
+        // hardware indexes with DIMM-local bits instead, which this is
+        // equivalent to.
+        std::uint64_t l = lineIndex(line_addr);
+        l ^= l >> 5;
+        l ^= l >> 11;
+        if (setMask)
+            return static_cast<unsigned>(l & setMask);
+        return static_cast<unsigned>(l % nSets);
+    }
+
+    /** Way of the set starting at tags[@p base] holding @p line_addr,
+     *  or -1 (tags are unique in a set, so no early exit is needed). */
+    int
+    findWay(std::size_t base, Addr line_addr) const
+    {
+        const Addr *t = &tags[base];
+        int hit = -1;
+        for (unsigned w = 0; w < nWays; ++w)
+            hit = t[w] == line_addr ? static_cast<int>(w) : hit;
+        return hit;
+    }
+
+    /** Fill the oldest way of @p set (the first free one, if any) with
+     *  @p line_addr, reporting a displaced valid line in @p evicted. */
+    Line *fill(unsigned set, Addr line_addr, Tick ready_at,
+               Evicted *evicted);
 
     unsigned nEntries;
     unsigned nWays;
     unsigned nSets;
     unsigned setMask = 0;  ///< nSets - 1 when nSets is a power of two
-    std::uint64_t nextSeq = 0;
+    std::uint64_t nextSeq = 1;  ///< 0 is the sequence of a free way
 
     std::uint64_t nInsertions = 0;
     std::uint64_t nEvictions = 0;
 
-    std::vector<Line> lines;  ///< nSets x nWays, set-major
+    // nSets x nWays, set-major.
+    std::vector<Addr> tags;           ///< invalidTag when free
+    std::vector<std::uint64_t> seqs;  ///< FIFO insertion order; 0 free
+    std::vector<Line> lines;          ///< payload
+    std::vector<unsigned> nValid;     ///< valid ways per set
 };
 
 } // namespace fbdp

@@ -1,11 +1,37 @@
 #include "system/prefetch_config.hh"
 
+#include <cctype>
+#include <cerrno>
+#include <climits>
 #include <cstdlib>
 
 #include "common/logging.hh"
 #include "prefetch/policy.hh"
 
 namespace fbdp {
+
+namespace {
+
+/** A whole unsigned decimal that fits an unsigned, else fatal(). */
+unsigned
+parseUnsigned(const std::string &key, const std::string &val,
+              const std::string &spec)
+{
+    // strtoull alone would skip blanks, accept a sign and wrap a
+    // negative value round to a huge one.
+    const char *s = val.c_str();
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long v = std::strtoull(s, &end, 10);
+    if (!std::isdigit(static_cast<unsigned char>(s[0])) || *end != '\0'
+        || errno == ERANGE || v > UINT_MAX)
+        fatal("prefetch spec key '%s' has value '%s', not an unsigned "
+              "integer <= %u (spec '%s')",
+              key.c_str(), val.c_str(), UINT_MAX, spec.c_str());
+    return static_cast<unsigned>(v);
+}
+
+} // namespace
 
 PrefetchConfig
 PrefetchConfig::parse(const std::string &spec, const PrefetchConfig &dflt)
@@ -42,25 +68,39 @@ PrefetchConfig::parse(const std::string &spec, const PrefetchConfig &dflt)
                   key.c_str(), spec.c_str());
 
         if (key == "degree") {
-            pc.degree = static_cast<unsigned>(
-                std::strtoul(val.c_str(), nullptr, 10));
+            pc.degree = parseUnsigned(key, val, spec);
         } else if (key == "entries") {
-            pc.entries = static_cast<unsigned>(
-                std::strtoul(val.c_str(), nullptr, 10));
+            pc.entries = parseUnsigned(key, val, spec);
         } else if (key == "ways") {
-            pc.ways = static_cast<unsigned>(
-                std::strtoul(val.c_str(), nullptr, 10));
+            pc.ways = parseUnsigned(key, val, spec);
         } else if (key == "throttle") {
-            pc.throttle = std::strtod(val.c_str(), nullptr);
-            if (pc.throttle < 0.0 || pc.throttle > 1.0)
-                fatal("prefetch throttle %s outside [0,1]",
-                      val.c_str());
+            char *end = nullptr;
+            pc.throttle = std::strtod(val.c_str(), &end);
+            if (*end != '\0')
+                fatal("prefetch spec key 'throttle' has value '%s', "
+                      "not a number (spec '%s')",
+                      val.c_str(), spec.c_str());
+            // Written so that NaN fails too.
+            if (!(pc.throttle >= 0.0 && pc.throttle <= 1.0))
+                fatal("prefetch spec key 'throttle' has value '%s', "
+                      "outside [0,1] (spec '%s')",
+                      val.c_str(), spec.c_str());
         } else {
             fatal("unknown prefetch spec key '%s' (spec '%s'; known: "
                   "degree, entries, ways, throttle)",
                   key.c_str(), spec.c_str());
         }
     }
+
+    // The buffer shape must be one AmbCache can build.
+    if (pc.entries < 1)
+        fatal("prefetch spec key 'entries' has value '%u'; the buffer "
+              "needs at least 1 line (spec '%s')",
+              pc.entries, spec.c_str());
+    if (pc.ways != 0 && pc.entries % pc.ways != 0)
+        fatal("prefetch spec key 'ways' has value '%u', which does not "
+              "divide entries=%u (spec '%s')",
+              pc.ways, pc.entries, spec.c_str());
 
     if (!PolicyRegistry::instance().has(pc.policy)) {
         std::string known;

@@ -1,11 +1,18 @@
 /**
  * @file
  * Unit tests of the AMB cache (the prefetch buffer): lookup, FIFO
- * replacement, associativity variants, in-flight fills.
+ * replacement, associativity variants, in-flight fills, plus a
+ * differential check against a straightforward array-of-structs
+ * reference model.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <tuple>
+#include <vector>
+
+#include "common/random.hh"
 #include "prefetch/amb_cache.hh"
 
 namespace fbdp {
@@ -165,6 +172,212 @@ TEST_P(AmbCacheFifoProp, SlidingWindowSemantics)
 
 INSTANTIATE_TEST_SUITE_P(Capacities, AmbCacheFifoProp,
                          ::testing::Values(4u, 32u, 64u, 128u));
+
+/**
+ * Reference model: the original array-of-structs AMB cache with
+ * early-exit way scans, kept verbatim in behaviour so the optimized
+ * AmbCache can be checked against it op by op.
+ */
+class RefAmbCache
+{
+  public:
+    struct Line
+    {
+        Addr lineAddr = 0;
+        Tick readyAt = 0;
+        bool valid = false;
+        bool used = false;
+        std::uint64_t fifoSeq = 0;
+    };
+
+    RefAmbCache(unsigned entries, unsigned ways)
+        : nWays(ways == 0 ? entries : ways),
+          nSets(entries / (ways == 0 ? entries : ways)),
+          lines(entries)
+    {}
+
+    Line *
+    lookup(Addr line_addr)
+    {
+        Line *base = setBase(line_addr);
+        for (unsigned w = 0; w < nWays; ++w) {
+            if (base[w].valid && base[w].lineAddr == line_addr)
+                return &base[w];
+        }
+        return nullptr;
+    }
+
+    Line *
+    insert(Addr line_addr, Tick ready_at, bool refresh,
+           AmbCache::Evicted *evicted)
+    {
+        Line *base = setBase(line_addr);
+        Line *first_invalid = nullptr;
+        Line *oldest = base;
+        for (unsigned w = 0; w < nWays; ++w) {
+            Line &l = base[w];
+            if (l.valid && l.lineAddr == line_addr) {
+                if (refresh) {
+                    l.readyAt = ready_at;
+                    l.fifoSeq = nextSeq++;
+                }
+                return &l;
+            }
+            if (!l.valid) {
+                if (!first_invalid)
+                    first_invalid = &l;
+            } else if (l.fifoSeq < oldest->fifoSeq) {
+                oldest = &l;
+            }
+        }
+        Line *victim = first_invalid;
+        if (!victim) {
+            victim = oldest;
+            ++nEvictions;
+            if (evicted) {
+                evicted->lineAddr = victim->lineAddr;
+                evicted->used = victim->used;
+                evicted->valid = true;
+            }
+        }
+        victim->lineAddr = line_addr;
+        victim->readyAt = ready_at;
+        victim->valid = true;
+        victim->used = false;
+        victim->fifoSeq = nextSeq++;
+        ++nInsertions;
+        return victim;
+    }
+
+    bool
+    invalidate(Addr line_addr, bool *was_used)
+    {
+        if (Line *l = lookup(line_addr)) {
+            l->valid = false;
+            *was_used = l->used;
+            return true;
+        }
+        return false;
+    }
+
+    void
+    reset()
+    {
+        for (auto &l : lines) {
+            l.valid = false;
+            l.used = false;
+        }
+        nextSeq = 0;
+        nInsertions = 0;
+        nEvictions = 0;
+    }
+
+    unsigned
+    population() const
+    {
+        unsigned n = 0;
+        for (const auto &l : lines)
+            n += l.valid ? 1 : 0;
+        return n;
+    }
+
+    std::uint64_t nInsertions = 0;
+    std::uint64_t nEvictions = 0;
+
+  private:
+    Line *
+    setBase(Addr line_addr)
+    {
+        std::uint64_t l = lineIndex(line_addr);
+        l ^= l >> 5;
+        l ^= l >> 11;
+        return &lines[l % nSets * nWays];
+    }
+
+    unsigned nWays;
+    unsigned nSets;
+    std::uint64_t nextSeq = 0;
+    std::vector<Line> lines;
+};
+
+void
+expectSameLine(const AmbCache::Line *got, const RefAmbCache::Line *want)
+{
+    ASSERT_EQ(got != nullptr, want != nullptr);
+    if (want) {
+        ASSERT_EQ(got->readyAt, want->readyAt);
+        ASSERT_EQ(got->used, want->used);
+    }
+}
+
+/** (entries, ways); ways 0 is fully associative. */
+class AmbCacheOracle
+    : public ::testing::TestWithParam<std::tuple<unsigned, unsigned>>
+{
+};
+
+TEST_P(AmbCacheOracle, MatchesReferenceOpByOp)
+{
+    const unsigned entries = std::get<0>(GetParam());
+    const unsigned ways = std::get<1>(GetParam());
+    AmbCache dut(entries, ways);
+    RefAmbCache ref(entries, ways);
+
+    const unsigned span = entries * 3;
+    Rng rng(0xa3bc0000u + entries * 17 + ways);
+    for (unsigned op = 0; op < 40000; ++op) {
+        const Addr a = line(static_cast<unsigned>(rng.below(span)));
+        const Tick t = rng.below(4) == 0 ? AmbCache::fillPending
+                                         : rng.below(1000000);
+        const unsigned kind = static_cast<unsigned>(rng.below(100));
+        SCOPED_TRACE(::testing::Message() << "op " << op << " kind "
+                                          << kind << " addr " << a);
+        if (kind < 30) {
+            AmbCache::Line *got = dut.lookup(a);
+            RefAmbCache::Line *want = ref.lookup(a);
+            expectSameLine(got, want);
+            // A demand hit marks the line used, a fill resolves it.
+            if (want && rng.below(2)) {
+                got->used = want->used = true;
+            } else if (want) {
+                got->readyAt = want->readyAt = t;
+            }
+        } else if (kind < 50) {
+            expectSameLine(dut.insert(a, t),
+                           ref.insert(a, t, true, nullptr));
+        } else if (kind < 85) {
+            AmbCache::Evicted got_ev;
+            AmbCache::Evicted want_ev;
+            expectSameLine(dut.insertIfAbsent(a, t, &got_ev),
+                           ref.insert(a, t, false, &want_ev));
+            ASSERT_EQ(got_ev.valid, want_ev.valid);
+            ASSERT_EQ(got_ev.lineAddr, want_ev.lineAddr);
+            ASSERT_EQ(got_ev.used, want_ev.used);
+        } else if (kind < 99) {
+            bool got_used = false;
+            bool want_used = false;
+            ASSERT_EQ(dut.invalidate(a, &got_used),
+                      ref.invalidate(a, &want_used));
+            ASSERT_EQ(got_used, want_used);
+        } else {
+            dut.reset();
+            ref.reset();
+        }
+        if (::testing::Test::HasFatalFailure())
+            return;
+        ASSERT_EQ(dut.population(), ref.population());
+        ASSERT_EQ(dut.insertions(), ref.nInsertions);
+        ASSERT_EQ(dut.evictions(), ref.nEvictions);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, AmbCacheOracle,
+    ::testing::Values(std::make_tuple(32u, 0u), std::make_tuple(64u, 0u),
+                      std::make_tuple(128u, 0u), std::make_tuple(32u, 4u),
+                      std::make_tuple(64u, 4u), std::make_tuple(128u, 4u),
+                      std::make_tuple(64u, 8u), std::make_tuple(128u, 8u),
+                      std::make_tuple(96u, 4u), std::make_tuple(8u, 1u)));
 
 } // namespace
 } // namespace fbdp

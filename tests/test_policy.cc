@@ -296,3 +296,42 @@ TEST(PrefetchConfigDeathTest, RejectsMalformedSpecs)
     EXPECT_DEATH(PrefetchConfig::parse("region,throttle=1.5"),
                  "outside");
 }
+
+TEST(PrefetchConfigDeathTest, RejectsBadValuesNamingKeyValueAndSpec)
+{
+    EXPECT_DEATH(PrefetchConfig::parse("region,entries=abc"),
+                 "'entries' has value 'abc'.*spec 'region,entries=abc'");
+    EXPECT_DEATH(PrefetchConfig::parse("region,entries=64x"),
+                 "'entries' has value '64x'");
+    EXPECT_DEATH(PrefetchConfig::parse("region,entries=-1"),
+                 "'entries' has value '-1'.*spec 'region,entries=-1'");
+    EXPECT_DEATH(PrefetchConfig::parse("region,entries=+4"),
+                 "'entries' has value '\\+4'");
+    EXPECT_DEATH(PrefetchConfig::parse("region,entries=4294967296"),
+                 "'entries' has value '4294967296'");
+    EXPECT_DEATH(PrefetchConfig::parse("region,degree=x"),
+                 "'degree' has value 'x'.*spec 'region,degree=x'");
+    EXPECT_DEATH(PrefetchConfig::parse("region,ways= 2"),
+                 "'ways' has value ' 2'");
+    EXPECT_DEATH(PrefetchConfig::parse("region,throttle=abc"),
+                 "'throttle' has value 'abc'.*spec 'region,throttle=abc'");
+    EXPECT_DEATH(PrefetchConfig::parse("region,throttle=nan"),
+                 "'throttle' has value 'nan', outside");
+    EXPECT_DEATH(PrefetchConfig::parse("region,entries=0"),
+                 "'entries' has value '0'.*spec 'region,entries=0'");
+    EXPECT_DEATH(PrefetchConfig::parse("region,entries=64,ways=3"),
+                 "'ways' has value '3'.*entries=64.*"
+                 "spec 'region,entries=64,ways=3'");
+}
+
+TEST(PrefetchConfigTest, AcceptsBoundaryValues)
+{
+    const PrefetchConfig p = PrefetchConfig::parse(
+        "region,degree=4294967295,entries=128,ways=0,throttle=1");
+    EXPECT_EQ(p.degree, 4294967295u);
+    EXPECT_EQ(p.entries, 128u);
+    EXPECT_EQ(p.ways, 0u);
+    EXPECT_DOUBLE_EQ(p.throttle, 1.0);
+    EXPECT_EQ(PrefetchConfig::parse("region,entries=1,ways=1").entries,
+              1u);
+}
