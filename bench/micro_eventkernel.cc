@@ -14,8 +14,8 @@
  * writes BENCH_kernel.json (google-benchmark JSON) into the current
  * directory unless --benchmark_out is given explicitly.  Rows named
  * Ref... and Malloc... are the "before" design, Kernel... and
- * Pool... the current one; Sharded.../N rows run the full system on
- * the sharded kernel at N lanes.
+ * Pool... the current one; Sharded... rows run the full system on an
+ * eight-channel machine.
  *
  * Because the default-output run is how the committed baseline gets
  * captured, it refuses to start when the host's 1-minute load average
@@ -24,7 +24,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -33,10 +32,8 @@
 #include <memory>
 #include <queue>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "common/thread_pool.hh"
 #include "mc/transaction.hh"
 #include "sim/event_queue.hh"
 #include "sim/trace.hh"
@@ -399,11 +396,9 @@ BENCHMARK(BM_FullSystemSimRate)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------- //
 // Sharded-kernel simulation rate: the same full run on an           //
-// eight-channel machine at 1/2/4/8 lanes (cfg.threads).  The arg    //
-// is the lane count; results are bit-identical across rows by the   //
-// kernel's determinism contract, so only the rate moves.  On a      //
-// single-CPU host the >1 rows measure pure sharding overhead        //
-// (oversubscribed lanes); on a multicore host they show scaling.    //
+// eight-channel machine (nine event-queue shards, most of them      //
+// idle in a given round).  The Arg(1) only keeps the row name       //
+// stable for the BENCH_kernel.json gate.                            //
 // ---------------------------------------------------------------- //
 
 void
@@ -411,7 +406,6 @@ BM_ShardedFullSystemSimRate(benchmark::State &state)
 {
     SystemConfig cfg = SystemConfig::fbdAp();
     cfg.logicChannels = 8;
-    cfg.threads = static_cast<unsigned>(state.range(0));
     cfg.measureInsts = 20'000;
     cfg.warmupInsts = 5'000;
     cfg.benchmarks = mixByName("2C-1").benches;
@@ -432,15 +426,16 @@ BM_ShardedFullSystemSimRate(benchmark::State &state)
             : 0.0);
 }
 BENCHMARK(BM_ShardedFullSystemSimRate)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
+    ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------- //
 // The same sharded run with the kernel self-profiler on             //
-// (--profile-kernel).  Pairs row-for-row with the unprofiled        //
-// benchmark above to bound the enabled-profiling overhead; the      //
-// disabled cost is zero by construction (every clock read sits      //
-// behind one `if (profiling)` branch).                              //
+// (--profile-kernel).  Pairs with the unprofiled row above to bound //
+// the enabled-profiling overhead; the disabled cost is zero by      //
+// construction (every clock read sits behind one `if (profiling)`   //
+// branch).  busy_frac is the shards' busy + drain time over the     //
+// event-phase wall time.                                            //
 // ---------------------------------------------------------------- //
 
 void
@@ -448,76 +443,28 @@ BM_ShardedFullSystemSimRateProfiled(benchmark::State &state)
 {
     SystemConfig cfg = SystemConfig::fbdAp();
     cfg.logicChannels = 8;
-    cfg.threads = static_cast<unsigned>(state.range(0));
     cfg.profileKernel = true;
     cfg.measureInsts = 20'000;
     cfg.warmupInsts = 5'000;
     cfg.benchmarks = mixByName("2C-1").benches;
     std::uint64_t insts = 0;
-    double busy = 0.0, wait = 0.0, wall = 0.0;
+    double busy = 0.0, wall = 0.0;
     for (auto _ : state) {
         System sys(cfg);
         RunResult r = sys.run();
         insts += r.runInsts;
-        for (const LaneProfile &l : r.kernel.lanes) {
-            busy += l.busySeconds + l.drainSeconds;
-            wait += l.barrierWaitSeconds;
-            wall += l.wallSeconds;
-        }
+        for (const ShardProfile &s : r.kernel.shards)
+            busy += s.busySeconds + s.drainSeconds;
+        wall += r.kernel.hostEventSeconds;
         benchmark::DoNotOptimize(r.ipcSum());
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(insts));
     state.counters["busy_frac"] = benchmark::Counter(
         wall > 0.0 ? busy / wall : 0.0);
-    state.counters["barrier_wait_frac"] = benchmark::Counter(
-        wall > 0.0 ? wait / wall : 0.0);
 }
 BENCHMARK(BM_ShardedFullSystemSimRateProfiled)
-    ->Arg(1)->Arg(4)
+    ->Arg(1)
     ->Unit(benchmark::kMillisecond);
-
-// ---------------------------------------------------------------- //
-// The round barrier in isolation: N lanes arriving and releasing    //
-// with an empty hook, the per-round synchronisation floor of the    //
-// sharded kernel.  items/sec is barrier rounds per second.  All     //
-// lanes run the same hook-checked shutdown so every lane exits at   //
-// the same round boundary, mirroring the kernel's stopRounds        //
-// protocol.                                                         //
-// ---------------------------------------------------------------- //
-
-void
-BM_ShardBarrier(benchmark::State &state)
-{
-    const unsigned lanes = static_cast<unsigned>(state.range(0));
-    SpinBarrier barrier(lanes);
-    std::atomic<bool> main_done{false};
-    std::atomic<bool> stop{false};
-    const auto hook = [&] {
-        if (main_done.load(std::memory_order_relaxed))
-            stop.store(true, std::memory_order_relaxed);
-    };
-
-    std::vector<std::thread> peers;
-    for (unsigned i = 1; i < lanes; ++i) {
-        peers.emplace_back([&] {
-            do {
-                barrier.arriveAndWait(hook);
-            } while (!stop.load(std::memory_order_relaxed));
-        });
-    }
-
-    for (auto _ : state)
-        barrier.arriveAndWait(hook);
-    main_done.store(true, std::memory_order_relaxed);
-    do {
-        barrier.arriveAndWait(hook);
-    } while (!stop.load(std::memory_order_relaxed));
-
-    for (auto &p : peers)
-        p.join();
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ShardBarrier)->Arg(1)->Arg(2)->Arg(4);
 
 // ---------------------------------------------------------------- //
 // Cost of the always-compiled trace points.  SimRateTraceDisabled   //

@@ -107,8 +107,8 @@ struct SystemConfig
 
     /**
      * Kernel self-profiling: time every shard round (busy vs mailbox
-     * drain), every lane's barrier waits, and the cross-shard mailbox
-     * traffic, into KernelProfile::shards/lanes.  Observer-only —
+     * drain) and the cross-shard mailbox traffic, into
+     * KernelProfile::shards.  Observer-only —
      * simulation results are bit-identical with it on or off; the cost
      * is a pair of clock reads per active shard per round.  Surfaced
      * by `fbdpsim --profile-kernel`, the --stats-json "kernel" block
@@ -118,14 +118,11 @@ struct SystemConfig
 
     // --- execution ---
     /**
-     * Worker threads for the sharded event kernel: the core/cache
-     * shard plus one shard per logic channel are spread over this many
-     * lanes, synchronizing at every memory-cycle frame.  Results are
-     * bit-identical for every value — the kernel executes the same
-     * staged schedule whether the lanes run serially (threads == 1) or
-     * on a thread pool — so this knob trades host CPUs for sim-rate
-     * only.  Clamped to 1 + logicChannels (more lanes than shards
-     * cannot help).
+     * Must be 1: the event kernel runs its shards serially, and System
+     * fatal()s on any other value.  Kept only because the benchmark
+     * harness (perfbench/workloads.cc) still assigns it; drop it once
+     * that assignment is gone.  FBDP_JOBS (sweep-level parallelism) is
+     * the supported way to use more host cores.
      */
     unsigned threads = 1;
 

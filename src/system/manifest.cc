@@ -183,7 +183,6 @@ RunManifest::capture(const SystemConfig &cfg)
                  static_cast<unsigned long long>(
                      fnv1a64(canonicalConfigString(cfg))));
     m.seed = cfg.seed;
-    m.threads = cfg.threads;
     m.hostname = hostnameString();
     m.startedUtc = utcNowString();
     return m;
@@ -210,7 +209,6 @@ RunManifest::json() const
        << ", \"config_digest\": \"" << jsonEscape(configDigest)
        << "\""
        << ", \"seed\": " << seed
-       << ", \"threads\": " << threads
        << ", \"hostname\": \"" << jsonEscape(hostname) << "\""
        << ", \"started_utc\": \"" << jsonEscape(startedUtc) << "\""
        << "}";
@@ -225,7 +223,7 @@ RunManifest::csvComment() const
        << gitSha << (gitDirty ? "-dirty" : "") << " build="
        << buildType << " compiler=" << compiler << '\n'
        << "# fbdp-manifest: config_digest=" << configDigest
-       << " seed=" << seed << " threads=" << threads << '\n'
+       << " seed=" << seed << '\n'
        << "# fbdp-manifest: host=" << hostname << " started="
        << startedUtc << '\n';
     return os.str();

@@ -8,10 +8,10 @@
  * RunManifest answers it: a small record of the exact build (version,
  * git SHA + dirty flag, build type, compiler), the exact configuration
  * (a canonical serialisation of SystemConfig folded into a 64-bit
- * FNV-1a digest), the seed, the host, the lane count and the wall
- * start time.  The digest is the join key of the cross-run ledger:
- * two runs with equal digests simulated the same machine on the same
- * workload, so their metrics are comparable.
+ * FNV-1a digest), the seed, the host and the wall start time.  The
+ * digest is the join key of the cross-run ledger: two runs with equal
+ * digests simulated the same machine on the same workload, so their
+ * metrics are comparable.
  *
  * Embedding is strictly additive and opt-in.  Every writer renders the
  * manifest either as one JSON object (stats dump, sweep JSON,
@@ -21,9 +21,9 @@
  * observability CI job gates.
  *
  * The digest covers only fields that change simulation results.
- * Observer and execution knobs (attribution, profileKernel, threads)
- * are excluded on purpose: results are bit-identical across them, so
- * runs differing only there belong to the same trend line.
+ * Observer knobs (attribution, profileKernel) are excluded on
+ * purpose: results are bit-identical across them, so runs differing
+ * only there belong to the same trend line.
  */
 
 #ifndef FBDP_SYSTEM_MANIFEST_HH
@@ -61,7 +61,6 @@ struct RunManifest
     // --- configuration ---
     std::string configDigest; ///< 16 hex digits of fnv1a64(canonical)
     std::uint64_t seed = 0;
-    unsigned threads = 1;
 
     // --- host / time ---
     std::string hostname;

@@ -1,8 +1,9 @@
 #include "system/runner.hh"
 
+#include <cerrno>
+#include <climits>
 #include <cstdlib>
 #include <future>
-#include <thread>
 
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
@@ -14,9 +15,22 @@ runMix(const SystemConfig &base, const WorkloadMix &mix)
 {
     SystemConfig cfg = base;
     cfg.benchmarks = mix.benches;
-    applyThreadsFromEnv(cfg);
     System sys(cfg);
     return sys.run();
+}
+
+std::optional<long long>
+parseInteger(const char *text, long long lo, long long hi)
+{
+    if (!text || !*text)
+        return std::nullopt;
+    char *end = nullptr;
+    errno = 0;
+    const long long v = std::strtoll(text, &end, 10);
+    if (end == text || *end != '\0' || errno == ERANGE || v < lo
+        || v > hi)
+        return std::nullopt;
+    return v;
 }
 
 unsigned
@@ -25,44 +39,13 @@ jobsFromEnv()
     const char *e = std::getenv("FBDP_JOBS");
     if (!e || !*e)
         return 1;
-    char *end = nullptr;
-    const long long v = std::strtoll(e, &end, 10);
-    if (end == e || *end != '\0' || v < 1 || v > 1024) {
+    const auto v = parseInteger(e, 1, 1024);
+    if (!v) {
         warn("ignoring FBDP_JOBS='%s': expected a worker count in "
              "[1, 1024]; running serially", e);
         return 1;
     }
-    return static_cast<unsigned>(v);
-}
-
-unsigned
-parseThreadCount(const char *text, const char *origin)
-{
-    if (!text || !*text)
-        return 1;
-    char *end = nullptr;
-    const long long v = std::strtoll(text, &end, 10);
-    if (end == text || *end != '\0' || v < 1 || v > 1024) {
-        warn("ignoring %s='%s': expected a lane count in [1, 1024]; "
-             "running serially", origin, text);
-        return 1;
-    }
-    const unsigned hw = std::thread::hardware_concurrency();
-    if (hw > 0 && v > hw) {
-        warn("%s=%lld exceeds the %u host CPUs; clamping (results "
-             "are identical for every thread count)", origin, v, hw);
-        return hw;
-    }
-    return static_cast<unsigned>(v);
-}
-
-void
-applyThreadsFromEnv(SystemConfig &cfg)
-{
-    const char *e = std::getenv("FBDP_THREADS");
-    if (!e || !*e)
-        return;
-    cfg.threads = parseThreadCount(e, "FBDP_THREADS");
+    return static_cast<unsigned>(*v);
 }
 
 std::vector<RunResult>
@@ -74,7 +57,6 @@ runCells(const std::vector<RunCell> &cells, unsigned jobs)
         cfgs.push_back(cell.cfg);
         if (cell.mix)
             cfgs.back().benchmarks = cell.mix->benches;
-        applyThreadsFromEnv(cfgs.back());
     }
 
     std::vector<RunResult> results;
@@ -144,16 +126,18 @@ smtSpeedup(const RunResult &r, const WorkloadMix &mix,
 void
 applyInstsFromEnv(SystemConfig &cfg)
 {
-    if (const char *e = std::getenv("FBDP_MEASURE_INSTS")) {
-        const long long v = std::atoll(e);
-        if (v > 0)
-            cfg.measureInsts = static_cast<std::uint64_t>(v);
-    }
-    if (const char *e = std::getenv("FBDP_WARMUP_INSTS")) {
-        const long long v = std::atoll(e);
-        if (v > 0)
-            cfg.warmupInsts = static_cast<std::uint64_t>(v);
-    }
+    const auto apply = [](const char *var, std::uint64_t &field) {
+        const char *e = std::getenv(var);
+        if (!e || !*e)
+            return;
+        if (const auto v = parseInteger(e, 1, LLONG_MAX))
+            field = static_cast<std::uint64_t>(*v);
+        else
+            warn("ignoring %s='%s': expected a positive integer", var,
+                 e);
+    };
+    apply("FBDP_MEASURE_INSTS", cfg.measureInsts);
+    apply("FBDP_WARMUP_INSTS", cfg.warmupInsts);
 }
 
 } // namespace fbdp

@@ -11,6 +11,7 @@
 
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -38,6 +39,17 @@ struct RunCell
  */
 std::vector<RunResult> runCells(const std::vector<RunCell> &cells,
                                 unsigned jobs = 0);
+
+/**
+ * Parse @p text as one decimal integer in [@p lo, @p hi]: strtoll must
+ * consume the whole string, and overflow or a value outside the range
+ * is rejected.  @return the value, or std::nullopt for empty or
+ * non-numeric text, trailing junk ("20k") or an out-of-range value.
+ * Shared by the environment knobs below and the fbdpsim numeric
+ * flags.
+ */
+std::optional<long long> parseInteger(const char *text, long long lo,
+                                      long long hi);
 
 /**
  * Worker count requested by the FBDP_JOBS environment variable.
@@ -81,25 +93,9 @@ double smtSpeedup(const RunResult &r, const WorkloadMix &mix,
 
 /** Scale per-run instruction counts from the environment.
  *  FBDP_MEASURE_INSTS / FBDP_WARMUP_INSTS override the defaults;
- *  benches use this so `--quick` and CI runs stay cheap. */
+ *  benches use this so `--quick` and CI runs stay cheap.  A value
+ *  that is not a positive integer warns and is ignored. */
 void applyInstsFromEnv(SystemConfig &cfg);
-
-/**
- * Validate a per-run lane count (the `--threads` flag / FBDP_THREADS
- * variable) with the same rules as jobsFromEnv: decimal integers in
- * [1, 1024] are accepted, anything else — non-numeric text, trailing
- * junk, zero, negatives, absurd counts — warns and falls back to 1.
- * Counts above std::thread::hardware_concurrency are clamped to it
- * with a warning: more lanes than host CPUs can only add barrier
- * overhead (results are thread-count-invariant either way).
- * @p origin names the source in warnings ("--threads",
- * "FBDP_THREADS").
- */
-unsigned parseThreadCount(const char *text, const char *origin);
-
-/** Apply FBDP_THREADS (validated by parseThreadCount) to
- *  cfg.threads; unset or empty leaves the config untouched. */
-void applyThreadsFromEnv(SystemConfig &cfg);
 
 } // namespace fbdp
 

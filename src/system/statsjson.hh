@@ -11,10 +11,10 @@
  *   "kernel"    event-kernel profile (kernelStats) — host-time rates
  *               live only here, so a diff can ignore the section.
  *               When the run was profiled (--profile-kernel) the
- *               section additionally carries "shards": [...] and
- *               "lanes": [...] (name-keyed, so fbdp-report flattens
- *               them as kernel.shards.ch0.events etc.) plus the
- *               event/busy imbalance summaries;
+ *               section additionally carries "shards": [...]
+ *               (name-keyed, so fbdp-report flattens it as
+ *               kernel.shards.ch0.events etc.) plus the event
+ *               imbalance summary;
  *   "power"     DRAM op counts and the PowerModel's dynamic
  *               energy/power over the window (powerStats);
  *   "prefetch"  the prefetch-policy quality block (prefetchStats);

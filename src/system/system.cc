@@ -52,15 +52,6 @@ KernelProfile::eventImbalance() const
 }
 
 double
-KernelProfile::busyImbalance() const
-{
-    std::vector<double> busy;
-    for (std::size_t i = 1; i < shards.size(); ++i)
-        busy.push_back(shards[i].busySeconds);
-    return maxOverMean(busy);
-}
-
-double
 RunResult::ipcSum() const
 {
     double s = 0.0;
@@ -78,10 +69,10 @@ RunResult::totalInsts() const
     return s;
 }
 
-MemorySystem::MemorySystem(
-    EventQueue *event_queue, const AddressMap *address_map,
-    std::vector<std::unique_ptr<MemController>> *ctrls)
-    : eq(event_queue), map(address_map), controllers(ctrls)
+MemorySystem::MemorySystem(EventQueue *event_queue,
+                           const AddressMap *address_map,
+                           System &owner)
+    : eq(event_queue), map(address_map), router(owner)
 {
 }
 
@@ -98,10 +89,7 @@ MemorySystem::read(Addr line_addr, int core_id, bool sw_prefetch,
     t->coord = map->map(t->lineAddr);
     t->onComplete = std::move(done);
     const unsigned ch = t->coord.channel;
-    if (router)
-        router->routePush(ch, std::move(t));
-    else
-        (*controllers)[ch]->push(std::move(t));
+    router.routePush(ch, std::move(t));
 }
 
 void
@@ -114,10 +102,7 @@ MemorySystem::write(Addr line_addr, int core_id)
     t->created = eq->now();
     t->coord = map->map(t->lineAddr);
     const unsigned ch = t->coord.channel;
-    if (router)
-        router->routePush(ch, std::move(t));
-    else
-        (*controllers)[ch]->push(std::move(t));
+    router.routePush(ch, std::move(t));
 }
 
 System::System(const SystemConfig &config)
@@ -126,6 +111,10 @@ System::System(const SystemConfig &config)
 {
     fbdp_assert(!cfg.benchmarks.empty(),
                 "system configured with no workload");
+    if (cfg.threads != 1)
+        fatal("SystemConfig::threads = %u: the event kernel runs "
+              "serially and only accepts 1 (use FBDP_JOBS to run "
+              "sweep cells in parallel)", cfg.threads);
 
     map = std::make_unique<AddressMap>(cfg.addressMapConfig());
 
@@ -133,7 +122,7 @@ System::System(const SystemConfig &config)
     frame = cc.timing.memCycle;
 
     // Queue 0 drives the cores and caches; each logic channel gets its
-    // own shard so the controllers can run on separate lanes.
+    // own shard, fed through a frame mailbox.
     queues.push_back(std::make_unique<EventQueue>());
     shards.resize(cfg.logicChannels);
     for (unsigned ch = 0; ch < cfg.logicChannels; ++ch) {
@@ -146,9 +135,7 @@ System::System(const SystemConfig &config)
     shardAcc.resize(1 + cfg.logicChannels);
     profiling = cfg.profileKernel;
 
-    memSys = std::make_unique<MemorySystem>(coreQ, map.get(),
-                                            &controllers);
-    memSys->setRouter(this);
+    memSys = std::make_unique<MemorySystem>(coreQ, map.get(), *this);
     HierConfig hc = cfg.hier;
     if (cfg.hwPrefetch)
         hc.hwPrefetch.enable = true;
@@ -218,11 +205,6 @@ System::~System() = default;
 void
 System::attachTracer(trace::Tracer *t)
 {
-    // A tracer records from every component; running the shards on
-    // multiple lanes would interleave its buffers non-deterministically
-    // (and race).  Traced runs therefore execute the staged schedule
-    // on one lane — same schedule, same results, just serially.
-    tracerAttached = t != nullptr;
     tracer = t;
     for (unsigned ch = 0; ch < controllers.size(); ++ch)
         controllers[ch]->bindTracer(t, ch);
@@ -230,7 +212,7 @@ System::attachTracer(trace::Tracer *t)
     for (auto &c : cores)
         c->bindTracer(t);
 
-    // Kernel shard lanes: with the self-profiler on, a traced run also
+    // Kernel shards: with the self-profiler on, a traced run also
     // gets one track per shard (frame slices + per-round event counts)
     // and a cross-shard traffic counter track, so the timeline shows
     // where each frame's work ran alongside the transaction lifecycle.
@@ -290,28 +272,16 @@ System::run()
     // kernel, not process start-up or the functional replay above.
     const auto host0 = std::chrono::steady_clock::now();
 
-    const unsigned lanes = laneCount();
-    if (lanes > 1 && !pool)
-        pool = std::make_unique<ThreadPool>(lanes - 1);
-
-    // Profile bookkeeping: one accumulator per lane, and the static
-    // shard->lane assignment (lane 0 owns the core shard; channels
-    // round-robin over lanes 1..L-1, everything on lane 0 serially).
-    lanesUsed = lanes;
-    laneAcc.assign(lanes, LaneAccum{});
-    shardAcc[0].lane = 0;
-    for (unsigned ch = 0; ch < cfg.logicChannels; ++ch)
-        shardAcc[1 + ch].lane = lanes > 1 ? 1 + ch % (lanes - 1) : 0;
-
     // Phase 1: warm up until the first core has executed warmupInsts.
-    // Each phase runs whole rounds and stops at the frame barrier
-    // after the notify fired, so both window edges are frame-aligned.
+    // Each phase runs whole rounds and stops at the end of the round
+    // in which the notify fired, so both window edges are
+    // frame-aligned.
     phaseDone = false;
     for (auto &c : cores) {
         c->setNotify(cfg.warmupInsts, [this] { phaseDone = true; });
         c->start();
     }
-    runRounds(lanes);
+    runRounds();
     fbdp_assert(phaseDone, "simulation drained during warm-up");
     alignClocks();
 
@@ -324,7 +294,7 @@ System::run()
         c->setNotify(c->insts() + cfg.measureInsts,
                      [this] { phaseDone = true; });
     }
-    runRounds(lanes);
+    runRounds();
     fbdp_assert(phaseDone, "simulation drained during measurement");
     const Tick t1 = alignClocks();
 
@@ -333,126 +303,23 @@ System::run()
     return collect(t1 - t0);
 }
 
-unsigned
-System::laneCount() const
+void
+System::runRounds()
 {
-    unsigned lanes = cfg.threads < 1 ? 1 : cfg.threads;
-    if ((tracerAttached || telemetryObserver) && lanes > 1) {
-        // Loud, once per process: every runner reaches this clamp, and
-        // a silently serialized "parallel" run is exactly the mistake
-        // a user profiling wall-clock scaling would make.
-        static std::atomic<bool> observerClampWarned{false};
-        if (!observerClampWarned.exchange(true)) {
-            warn("an attached %s observer pins the sharded kernel to "
-                 "one lane: --threads %u runs serially (results are "
-                 "bit-identical; detach the observer to measure "
-                 "parallel wall-clock)",
-                 tracerAttached ? "trace" : "telemetry", lanes);
-        }
-        lanes = 1;
-    }
-    // One lane per shard at most: the core shard plus one per channel.
-    const unsigned max_lanes = 1 + cfg.logicChannels;
-    return lanes < max_lanes ? lanes : max_lanes;
+    do
+        round();
+    while (!endOfRound());
 }
 
 void
-System::runRounds(unsigned lanes)
-{
-    using clk = std::chrono::steady_clock;
-    stopRounds = false;
-    if (lanes == 1) {
-        // The exact same staged schedule, on the calling thread.
-        if (!profiling) {
-            while (!stopRounds) {
-                laneRound(0, 1);
-                endOfRound();
-            }
-            return;
-        }
-        // Profiled: three clock reads per round make the accounting
-        // telescope exactly — busy + drain == t1-t0 and the inline
-        // endOfRound() (the serial stand-in for the barrier hook) is
-        // t2-t1, so busy + drain + wait == wall by construction.
-        LaneAccum &la = laneAcc[0];
-        while (!stopRounds) {
-            const auto t0 = clk::now();
-            const double drain = laneRound(0, 1);
-            const auto t1 = clk::now();
-            endOfRound();
-            const auto t2 = clk::now();
-            ++la.rounds;
-            ++la.lastArrivals;
-            la.busySeconds += secsBetween(t0, t1) - drain;
-            la.drainSeconds += drain;
-            la.barrierWaitSeconds += secsBetween(t1, t2);
-            la.wallSeconds += secsBetween(t0, t2);
-        }
-        return;
-    }
-
-    SpinBarrier barrier(lanes);
-    const auto on_last = [this] { endOfRound(); };
-    const auto laneLoop = [this, lanes, &barrier, on_last](
-                              unsigned lane) {
-        if (!profiling) {
-            for (;;) {
-                laneRound(lane, lanes);
-                barrier.arriveAndWait(on_last);
-                if (stopRounds)
-                    return;
-            }
-        }
-        LaneAccum &la = laneAcc[lane];
-        for (;;) {
-            const auto t0 = clk::now();
-            const double drain = laneRound(lane, lanes);
-            const auto t1 = clk::now();
-            const SpinBarrier::Release rel =
-                barrier.arriveAndWait(on_last);
-            const auto t2 = clk::now();
-            ++la.rounds;
-            la.busySeconds += secsBetween(t0, t1) - drain;
-            la.drainSeconds += drain;
-            la.barrierWaitSeconds += secsBetween(t1, t2);
-            la.wallSeconds += secsBetween(t0, t2);
-            switch (rel) {
-              case SpinBarrier::Release::Last:
-                ++la.lastArrivals;
-                break;
-              case SpinBarrier::Release::Spin:
-                ++la.spinReleases;
-                break;
-              case SpinBarrier::Release::Yield:
-                ++la.yieldReleases;
-                break;
-              case SpinBarrier::Release::Sleep:
-                ++la.sleepReleases;
-                break;
-            }
-            if (stopRounds)
-                return;
-        }
-    };
-    std::vector<std::future<void>> lanes_done;
-    for (unsigned lane = 1; lane < lanes; ++lane)
-        lanes_done.push_back(pool->submit(
-            [laneLoop, lane] { laneLoop(lane); }));
-    laneLoop(0);
-    for (auto &f : lanes_done)
-        f.get();
-}
-
-double
-System::laneRound(unsigned lane, unsigned lanes)
+System::round()
 {
     using clk = std::chrono::steady_clock;
     const Tick start = static_cast<Tick>(curRound) * frame;
     const Tick limit = start + frame - 1;
-    double drain = 0.0;
     std::uint64_t roundMsgs = 0;
 
-    if (lane == 0) {
+    {
         // The core/cache shard: deliver last round's completions.
         EventQueue &q = *queues.front();
         q.advanceTo(start);
@@ -489,61 +356,48 @@ System::laneRound(unsigned lane, unsigned lanes)
             const std::uint64_t before = q.dispatched();
             q.run(limit);
             const auto b1 = clk::now();
-            const double d = secsBetween(d0, b0);
-            shardAcc[0].drainSeconds += d;
-            drain += d;
+            shardAcc[0].drainSeconds += secsBetween(d0, b0);
             shardAcc[0].busySeconds += secsBetween(b0, b1);
             traceShardRound(0, start, q.dispatched() - before);
         }
     }
 
-    if (lanes == 1 || lane > 0) {
-        for (unsigned ch = 0; ch < shards.size(); ++ch) {
-            // Channels round-robin over lanes 1..lanes-1 (all on lane
-            // 0 when serial).  The assignment affects wall-clock only;
-            // results are lane-independent by construction.
-            if (lanes > 1 && 1 + ch % (lanes - 1) != lane)
-                continue;
-            EventQueue &q = *queues[1 + ch];
-            q.advanceTo(start);
-            auto &in = shards[ch].pushBox.inbox(curRound);
-            // An idle shard (nothing staged, nothing scheduled) can
-            // dispatch nothing this round; skipping it costs no
-            // events and keeps the profiler's clock reads off the
-            // quiet channels.  Its clock re-aligns at the next
-            // advanceTo.
-            if (in.empty() && q.empty())
-                continue;
-            ShardAccum &sa = shardAcc[1 + ch];
-            sa.drained += in.size();
-            roundMsgs += in.size();
-            if (!profiling) {
-                for (PushMsg &m : in)
-                    controllers[ch]->pushAt(std::move(m.t), m.sentAt);
-                in.clear();
-                q.run(limit);
-                continue;
-            }
-            const auto d0 = clk::now();
+    for (unsigned ch = 0; ch < shards.size(); ++ch) {
+        EventQueue &q = *queues[1 + ch];
+        q.advanceTo(start);
+        auto &in = shards[ch].pushBox.inbox(curRound);
+        // An idle shard (nothing staged, nothing scheduled) can
+        // dispatch nothing this round; skipping it costs no events and
+        // keeps the profiler's clock reads off the quiet channels.
+        // Its clock re-aligns at the next advanceTo.
+        if (in.empty() && q.empty())
+            continue;
+        ShardAccum &sa = shardAcc[1 + ch];
+        sa.drained += in.size();
+        roundMsgs += in.size();
+        if (!profiling) {
             for (PushMsg &m : in)
                 controllers[ch]->pushAt(std::move(m.t), m.sentAt);
             in.clear();
-            const auto b0 = clk::now();
-            const std::uint64_t before = q.dispatched();
             q.run(limit);
-            const auto b1 = clk::now();
-            const double d = secsBetween(d0, b0);
-            sa.drainSeconds += d;
-            drain += d;
-            sa.busySeconds += secsBetween(b0, b1);
-            traceShardRound(1 + ch, start, q.dispatched() - before);
+            continue;
         }
+        const auto d0 = clk::now();
+        for (PushMsg &m : in)
+            controllers[ch]->pushAt(std::move(m.t), m.sentAt);
+        in.clear();
+        const auto b0 = clk::now();
+        const std::uint64_t before = q.dispatched();
+        q.run(limit);
+        const auto b1 = clk::now();
+        sa.drainSeconds += secsBetween(d0, b0);
+        sa.busySeconds += secsBetween(b0, b1);
+        traceShardRound(1 + ch, start, q.dispatched() - before);
     }
 
     if (profiling && tracer && !kernelTracks.empty() && roundMsgs)
         tracer->counter(mailboxTrack, "cross_shard_msgs", start,
                         roundMsgs);
-    return drain;
 }
 
 void
@@ -553,8 +407,8 @@ System::traceShardRound(unsigned shard, Tick start,
     if (!tracer || kernelTracks.empty() || events == 0)
         return;
     // One frame slice per active shard per round, plus the round's
-    // dispatch count as a counter series.  Tracing forces one lane,
-    // so pushes are ordered; exportJson's stable sort keeps the end
+    // dispatch count as a counter series.  Shards run serially, so
+    // pushes are ordered; exportJson's stable sort keeps the end
     // of one slice ahead of the next slice's begin at the same tick.
     const std::uint32_t trk = kernelTracks[shard];
     tracer->begin(trk, "frame", start);
@@ -562,25 +416,22 @@ System::traceShardRound(unsigned shard, Tick start,
     tracer->end(trk, "frame", start + frame);
 }
 
-void
+bool
 System::endOfRound()
 {
-    if (phaseDone) {
-        stopRounds = true;
-    } else {
-        // Termination backstop: a drained simulation (every shard
-        // idle, every mailbox empty, nothing pending delivery) can
-        // never reach the notify, so stop and let run() report it.
-        bool active = !pendingDone.empty();
-        for (const auto &q : queues)
-            active = active || !q->empty();
-        for (const auto &sh : shards)
-            active = active || !sh.pushBox.bothEmpty()
-                || !sh.doneBox.bothEmpty();
-        if (!active)
-            stopRounds = true;
-    }
     ++curRound;
+    if (phaseDone)
+        return true;
+    // Termination backstop: a drained simulation (every shard idle,
+    // every mailbox empty, nothing pending delivery) can never reach
+    // the notify, so stop and let run() report it.
+    bool active = !pendingDone.empty();
+    for (const auto &q : queues)
+        active = active || !q->empty();
+    for (const auto &sh : shards)
+        active = active || !sh.pushBox.bothEmpty()
+            || !sh.doneBox.bothEmpty();
+    return !active;
 }
 
 void
@@ -640,15 +491,6 @@ System::kernelDrainSeconds() const
     double s = 0.0;
     for (const ShardAccum &sa : shardAcc)
         s += sa.drainSeconds;
-    return s;
-}
-
-double
-System::kernelBarrierWaitSeconds() const
-{
-    double s = 0.0;
-    for (const LaneAccum &la : laneAcc)
-        s += la.barrierWaitSeconds;
     return s;
 }
 
@@ -991,7 +833,6 @@ System::collect(Tick window_ticks) const
             sp.name = i == 0
                 ? "core"
                 : csprintf("ch%zu", i - 1);
-            sp.lane = shardAcc[i].lane;
             sp.events = qc.dispatched;
             sp.schedules = qc.schedules;
             sp.reschedules = qc.reschedules;
@@ -1010,23 +851,6 @@ System::collect(Tick window_ticks) const
             sp.busySeconds = shardAcc[i].busySeconds;
             sp.drainSeconds = shardAcc[i].drainSeconds;
             r.kernel.shards.push_back(std::move(sp));
-        }
-        for (unsigned l = 0; l < lanesUsed; ++l) {
-            const LaneAccum &a = laneAcc[l];
-            LaneProfile lp;
-            lp.lane = l;
-            for (const ShardAccum &sa : shardAcc)
-                lp.shardsOwned += sa.lane == l ? 1 : 0;
-            lp.rounds = a.rounds;
-            lp.busySeconds = a.busySeconds;
-            lp.drainSeconds = a.drainSeconds;
-            lp.barrierWaitSeconds = a.barrierWaitSeconds;
-            lp.wallSeconds = a.wallSeconds;
-            lp.lastArrivals = a.lastArrivals;
-            lp.spinReleases = a.spinReleases;
-            lp.yieldReleases = a.yieldReleases;
-            lp.sleepReleases = a.sleepReleases;
-            r.kernel.lanes.push_back(lp);
         }
     }
     // The pool is thread-local and shared by every System this thread

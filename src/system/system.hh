@@ -16,7 +16,6 @@
 #include "cache/hierarchy.hh"
 #include "common/logging.hh"
 #include "common/stats.hh"
-#include "common/thread_pool.hh"
 #include "cpu/core.hh"
 #include "dram/dimm.hh"
 #include "mc/address_map.hh"
@@ -37,14 +36,11 @@ class System;
  * SystemConfig::profileKernel timed the run — the host time it spent
  * dispatching vs draining.  Shard 0 is the core/cache shard ("core"),
  * shard 1+ch drives logic channel ch ("chN").  The count fields are
- * deterministic and thread-count-invariant (the staged schedule is
- * identical on every lane layout); only the *Seconds fields are host
- * facts.
+ * deterministic; only the *Seconds fields are host facts.
  */
 struct ShardProfile
 {
     std::string name;           ///< "core" or "chN"
-    unsigned lane = 0;          ///< lane that ran this shard
 
     std::uint64_t events = 0;         ///< callbacks dispatched
     std::uint64_t schedules = 0;
@@ -62,35 +58,6 @@ struct ShardProfile
 };
 
 /**
- * Kernel profile of one worker lane.  Per round, the lane's wall time
- * telescopes exactly: busy + drain + barrierWait == wall (the three
- * are measured from the same clock reads), so a conservation check
- * needs only floating-point tolerance.  rounds is deterministic;
- * everything else is a host fact, and the release counters depend on
- * OS scheduling.
- */
-struct LaneProfile
-{
-    unsigned lane = 0;
-    unsigned shardsOwned = 0;   ///< shards this lane executed
-
-    std::uint64_t rounds = 0;   ///< frame rounds executed
-
-    double busySeconds = 0.0;        ///< in laneRound, minus drains
-    double drainSeconds = 0.0;       ///< mailbox drain share
-    double barrierWaitSeconds = 0.0; ///< arrive to release (+ hook)
-    double wallSeconds = 0.0;        ///< busy + drain + barrierWait
-
-    /** Release-path census of this lane's barrier arrivals (serial
-     *  runs count every round as a last arrival — the "hook" is the
-     *  inline endOfRound() call). */
-    std::uint64_t lastArrivals = 0;
-    std::uint64_t spinReleases = 0;
-    std::uint64_t yieldReleases = 0;
-    std::uint64_t sleepReleases = 0;
-};
-
-/**
  * Event-kernel activity of one simulation: queue counters, transaction
  * pool occupancy and the host time spent inside the event-driven
  * phases (timed warm-up + measurement; construction and the functional
@@ -98,10 +65,9 @@ struct LaneProfile
  * run — the counters are maintained on the hot path anyway — and
  * reported by `fbdpsim --profile` and ResultSchema::kernelStats().
  *
- * The per-shard and per-lane vectors are filled only when
- * SystemConfig::profileKernel asked for the timed self-profile
- * (`fbdpsim --profile-kernel`); the aggregate counters are always
- * collected.
+ * The per-shard vector is filled only when SystemConfig::profileKernel
+ * asked for the timed self-profile (`fbdpsim --profile-kernel`); the
+ * aggregate counters are always collected.
  */
 struct KernelProfile
 {
@@ -120,24 +86,18 @@ struct KernelProfile
 
     double hostEventSeconds = 0.0;    ///< wall time in the event loop
 
-    /** True when the run was timed per shard/lane (the vectors below
-     *  are filled). */
+    /** True when the run was timed per shard (the vector below is
+     *  filled). */
     bool profiled = false;
     std::vector<ShardProfile> shards; ///< [0]=core, [1+ch]=channel ch
-    std::vector<LaneProfile> lanes;   ///< [0]=calling thread
 
     /**
      * Max/mean dispatched events over the *channel* shards: 1.0 is a
      * perfectly balanced channel load, 2.0 means the hottest channel
-     * dispatches twice the average.  Deterministic and thread-count
-     * invariant — the CI imbalance gate compares it at tolerance 0
-     * across thread counts.  0 when unprofiled or single-channel.
+     * dispatches twice the average.  Deterministic, so it can be
+     * gated at tolerance 0.  0 when unprofiled or single-channel.
      */
     double eventImbalance() const;
-
-    /** Max/mean busy host seconds over the channel shards (the wall-
-     *  clock skew the barrier has to absorb).  Host fact. */
-    double busyImbalance() const;
 
     /** Dispatch throughput over the event-driven phases. */
     double eventsPerSec() const
@@ -248,30 +208,25 @@ struct RunResult
 };
 
 /**
- * Routes cache-hierarchy traffic to the per-channel controllers.
- * Under the sharded kernel the hand-off goes through the owning
- * System's frame mailboxes (setRouter) instead of calling into the
- * controller — which lives on another shard — directly.
+ * Routes cache-hierarchy traffic to the per-channel controllers.  The
+ * controllers live on other shards, so every request is staged in the
+ * owning System's frame mailboxes (System::routePush) instead of
+ * calling into a controller directly.
  */
 class MemorySystem : public MemoryIface
 {
   public:
     MemorySystem(EventQueue *event_queue, const AddressMap *map,
-                 std::vector<std::unique_ptr<MemController>> *ctrls);
+                 System &router);
 
     void read(Addr line_addr, int core_id, bool sw_prefetch,
               TickCallback done) override;
     void write(Addr line_addr, int core_id) override;
 
-    /** Stage requests in @p r's mailboxes instead of pushing inline
-     *  (nullptr restores the direct path). */
-    void setRouter(System *r) { router = r; }
-
   private:
     EventQueue *eq;
     const AddressMap *map;
-    std::vector<std::unique_ptr<MemController>> *controllers;
-    System *router = nullptr;
+    System &router;
 };
 
 /**
@@ -281,10 +236,8 @@ class MemorySystem : public MemoryIface
  * frame; every cross-shard hand-off (request, completion) is staged in
  * a FrameMailbox during one round and drained by the receiving shard
  * at the start of the next, costing exactly one frame of model
- * latency.  The same staged schedule executes for every
- * SystemConfig::threads value — serially in shard order at threads ==
- * 1, on a barrier-synchronized thread pool otherwise — so results are
- * bit-identical regardless of the thread count.
+ * latency.  Each round runs the shards serially in shard order (core
+ * shard first, then channels 0..n-1), skipping idle channel shards.
  */
 class System : private CompletionSink
 {
@@ -346,23 +299,13 @@ class System : private CompletionSink
      */
     void routePush(unsigned channel, TransPtr t);
 
-    /**
-     * An attached observer (telemetry sampler) reads cross-shard state
-     * from event context: force the lanes serial for this run.  The
-     * staged schedule is unchanged, so results are unchanged.
-     */
-    void setTelemetryObserver(bool on) { telemetryObserver = on; }
-
-    // Live kernel-profile reads for the telemetry sampler (all shards
-    // are mid-round consistent on the single observer lane).  The
+    // Live kernel-profile reads for the telemetry sampler.  The
     // seconds accessors return 0 unless cfg.profileKernel timed the
     // run; the message/event counts are always maintained.
     /** Host seconds spent dispatching, all shards so far. */
     double kernelBusySeconds() const;
     /** Host seconds spent draining mailboxes, all shards so far. */
     double kernelDrainSeconds() const;
-    /** Host seconds lanes spent at the round barrier so far. */
-    double kernelBarrierWaitSeconds() const;
     /** Cross-shard mailbox messages posted so far (both directions). */
     std::uint64_t mailboxMessagesPosted() const;
     /** Event callbacks dispatched so far, all shards. */
@@ -398,14 +341,14 @@ class System : private CompletionSink
     const SystemConfig &config() const { return cfg; }
 
   private:
-    /** Core→channel request staged across a frame barrier. */
+    /** Core→channel request staged across a round boundary. */
     struct PushMsg
     {
         TransPtr t;
         Tick sentAt;
     };
 
-    /** Channel→core completion staged across a frame barrier. */
+    /** Channel→core completion staged across a round boundary. */
     struct CompleteMsg
     {
         TransPtr t;
@@ -443,7 +386,7 @@ class System : private CompletionSink
         }
     };
 
-    // CompletionSink: called by a controller on its channel lane.
+    // CompletionSink: called by a controller on its channel shard.
     void complete(unsigned channel, TransPtr t,
                   const PhaseDurations &pd, bool has_profile) override;
 
@@ -454,28 +397,23 @@ class System : private CompletionSink
     void resetAllStats();
     RunResult collect(Tick window_ticks) const;
 
-    /** Lanes this run will use: threads clamped to the shard count,
-     *  forced to 1 while an observer is attached. */
-    unsigned laneCount() const;
+    /** Execute rounds until a round end sees phaseDone (or the
+     *  queues drain); on return every shard has finished the same
+     *  round. */
+    void runRounds();
 
-    /** Execute rounds until a barrier sees phaseDone (or the queues
-     *  drain); on return every shard has finished the same round. */
-    void runRounds(unsigned lanes);
-
-    /** One lane's share of round curRound: advance, drain mailboxes,
-     *  dispatch one frame on every owned shard.  @return the host
-     *  seconds this round spent draining mailboxes (0 unless
-     *  profiling) so the caller can split busy from drain without a
-     *  fourth clock read. */
-    double laneRound(unsigned lane, unsigned lanes);
+    /** Round curRound: advance every shard, drain its mailbox and
+     *  dispatch one frame, core shard first. */
+    void round();
 
     /** Emit one shard's frame slice + event counter for this round
      *  (no-op unless a tracer is attached with profiling on). */
     void traceShardRound(unsigned shard, Tick start,
                          std::uint64_t events);
 
-    /** Barrier hook, run by exactly one thread between rounds. */
-    void endOfRound();
+    /** Advance the round counter.  @return true when the phase is
+     *  done or the simulation has drained. */
+    bool endOfRound();
 
     /** Pop pending completions due at the core shard's clock. */
     void deliverFire();
@@ -491,20 +429,15 @@ class System : private CompletionSink
     std::vector<std::unique_ptr<EventQueue>> queues;
     std::vector<ChannelShard> shards;
 
-    /** Frame length: one memory cycle, the barrier quantum. */
+    /** Frame length: one memory cycle, the round quantum. */
     Tick frame = 0;
     /** Rounds completed since construction; never reset (mailbox
      *  parity and in-flight hand-offs carry across phase edges). */
     std::size_t curRound = 0;
-    /** Set at a barrier by endOfRound(); lanes exit their loops. */
-    bool stopRounds = false;
 
     std::vector<PendingDone> pendingDone;
     std::uint64_t nextDoneSeq = 0;
     Event deliverEvent;
-
-    /** Workers for lanes 1..L-1; lane 0 is the calling thread. */
-    std::unique_ptr<ThreadPool> pool;
 
     // --- kernel self-profiling (SystemConfig::profileKernel) ---
     /** Host-time and traffic accumulators of one shard. */
@@ -513,33 +446,15 @@ class System : private CompletionSink
         std::uint64_t drained = 0;  ///< mailbox messages drained
         double busySeconds = 0.0;
         double drainSeconds = 0.0;
-        unsigned lane = 0;          ///< owning lane of the last run
-    };
-    /** Host-time accumulators of one lane (see LaneProfile). */
-    struct LaneAccum
-    {
-        std::uint64_t rounds = 0;
-        double busySeconds = 0.0;
-        double drainSeconds = 0.0;
-        double barrierWaitSeconds = 0.0;
-        double wallSeconds = 0.0;
-        std::uint64_t lastArrivals = 0;
-        std::uint64_t spinReleases = 0;
-        std::uint64_t yieldReleases = 0;
-        std::uint64_t sleepReleases = 0;
     };
     /** shardAcc[0] = core shard, shardAcc[1+ch] = channel ch.  The
      *  drained counts are always maintained (one add per drain); the
-     *  seconds only when profiling.  Each entry is written by exactly
-     *  one lane per round and read after a barrier. */
+     *  seconds only when profiling. */
     std::vector<ShardAccum> shardAcc;
-    std::vector<LaneAccum> laneAcc;   ///< sized by run() to laneCount
-    /** Lanes the last run() used (shapes KernelProfile::lanes). */
-    unsigned lanesUsed = 1;
     /** cfg.profileKernel, cached for the hot round loop. */
     bool profiling = false;
 
-    /** Per-round trace emission for the kernel shard lanes (tracer
+    /** Per-round trace emission for the kernel shards (tracer
      *  attached + profiling on): one interned track per shard plus a
      *  cross-shard traffic counter track. */
     std::vector<std::uint32_t> kernelTracks;
@@ -561,8 +476,6 @@ class System : private CompletionSink
     std::vector<std::unique_ptr<Core>> cores;
 
     bool phaseDone = false;
-    bool tracerAttached = false;
-    bool telemetryObserver = false;
 };
 
 } // namespace fbdp

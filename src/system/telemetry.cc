@@ -20,9 +20,6 @@ TelemetrySampler::TelemetrySampler(System &system, Tick epoch_ticks,
       sampleEvent([this] { fire(); }, Event::prioCpu + 5)
 {
     fbdp_assert(epoch > 0, "telemetry epoch must be positive");
-    // The sampler reads every shard's gauges from core-shard event
-    // context; the run must stay on one lane while it is attached.
-    sys.setTelemetryObserver(true);
 
     const unsigned nCh = sys.numControllers();
     chPrev.resize(nCh);
@@ -173,14 +170,6 @@ TelemetrySampler::TelemetrySampler(System &system, Tick epoch_ticks,
                      ? (krnScr.dBusy + krnScr.dDrain) / krnScr.dWall
                      : 0.0;
              });
-    addGauge("kernel.barrier_wait_frac",
-             "fraction of host wall time spent waiting at the round "
-             "barrier since the last sample (0 unless "
-             "--profile-kernel)",
-             [this] {
-                 return krnScr.dWall > 0.0
-                     ? krnScr.dWait / krnScr.dWall : 0.0;
-             });
     addGauge("kernel.mailbox_msgs",
              "cross-shard mailbox messages posted this epoch",
              [this] { return krnScr.dPosted; });
@@ -204,7 +193,6 @@ TelemetrySampler::~TelemetrySampler()
 {
     if (sampleEvent.scheduled())
         eq.deschedule(&sampleEvent);
-    sys.setTelemetryObserver(false);
 }
 
 void
@@ -325,8 +313,6 @@ TelemetrySampler::takeSample(Tick at)
             guardedDelta(sys.kernelBusySeconds(), krnScr.prevBusy);
         krnScr.dDrain =
             guardedDelta(sys.kernelDrainSeconds(), krnScr.prevDrain);
-        krnScr.dWait = guardedDelta(sys.kernelBarrierWaitSeconds(),
-                                    krnScr.prevWait);
         krnScr.dPosted = guardedDelta(sys.mailboxMessagesPosted(),
                                       krnScr.prevPosted);
         const auto wall = std::chrono::steady_clock::now();

@@ -153,7 +153,7 @@ class TelemetrySampler
     };
 
     /** Delta baselines / per-epoch values of the kernel.* gauges.
-     *  The busy / barrier-wait fractions divide the kernel profiler's
+     *  The busy fraction divides the kernel profiler's
      *  accumulated host seconds by the host wall-clock time between
      *  two samples, so they read 0 unless the run was started with
      *  SystemConfig::profileKernel (the mailbox counter is always
@@ -162,14 +162,12 @@ class TelemetrySampler
     {
         double prevBusy = 0.0;
         double prevDrain = 0.0;
-        double prevWait = 0.0;
         std::uint64_t prevPosted = 0;
         std::chrono::steady_clock::time_point prevWall{};
         bool wallValid = false;
 
         double dBusy = 0.0;
         double dDrain = 0.0;
-        double dWait = 0.0;
         double dWall = 0.0;
         double dPosted = 0.0;
     };

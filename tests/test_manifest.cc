@@ -60,7 +60,7 @@ TEST(ManifestTest, DigestSeesSimulationRelevantFields)
     EXPECT_NE(RunManifest::capture(c).configDigest, ref);
 }
 
-TEST(ManifestTest, DigestIgnoresObserverAndExecutionKnobs)
+TEST(ManifestTest, DigestIgnoresObserverKnobs)
 {
     // Results are bit-identical across these knobs by the observer
     // invariant, so they must share one trend line in the ledger.
@@ -73,10 +73,6 @@ TEST(ManifestTest, DigestIgnoresObserverAndExecutionKnobs)
 
     c = base();
     c.profileKernel = true;
-    EXPECT_EQ(RunManifest::capture(c).configDigest, ref);
-
-    c = base();
-    c.threads = 4;
     EXPECT_EQ(RunManifest::capture(c).configDigest, ref);
 }
 
@@ -94,7 +90,6 @@ TEST(ManifestTest, JsonFormIsOneParseableLine)
     EXPECT_EQ(pr.value->get("version")->asString(), m.toolVersion);
     EXPECT_EQ(pr.value->get("git_sha")->asString(), m.gitSha);
     EXPECT_EQ(pr.value->get("seed")->asUint64(), m.seed);
-    EXPECT_EQ(pr.value->get("threads")->asUint64(), m.threads);
     ASSERT_NE(pr.value->get("started_utc"), nullptr);
     ASSERT_NE(pr.value->get("hostname"), nullptr);
     ASSERT_NE(pr.value->get("build_type"), nullptr);

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cstdlib>
 #include <thread>
 #include <vector>
@@ -102,6 +103,30 @@ TEST(RunnerTest, JobsFromEnvParsesAndFallsBack)
     EXPECT_EQ(jobsFromEnv(), 1u);
 }
 
+TEST(RunnerTest, ParseIntegerAcceptsWholeNumbersInRange)
+{
+    EXPECT_EQ(parseInteger("20000", 1, 1'000'000), 20000);
+    EXPECT_EQ(parseInteger("0", 0, 10), 0);
+    EXPECT_EQ(parseInteger("-3", -5, 5), -3);
+    EXPECT_EQ(parseInteger("64", 1, 64), 64);
+    EXPECT_EQ(parseInteger("9223372036854775807", 0, LLONG_MAX),
+              LLONG_MAX);
+}
+
+TEST(RunnerTest, ParseIntegerRejectsJunkAndOutOfRange)
+{
+    // atoi would read "20k" as 20 and "two" as 0.
+    for (const char *bad : {"20k", "two", "", "1.5", "0x10", "8 ",
+                            "--5", "9223372036854775808"}) {
+        EXPECT_FALSE(parseInteger(bad, 0, LLONG_MAX))
+            << "'" << bad << "'";
+    }
+    EXPECT_FALSE(parseInteger(nullptr, 0, 10));
+    EXPECT_FALSE(parseInteger("0", 1, 10));
+    EXPECT_FALSE(parseInteger("11", 1, 10));
+    EXPECT_FALSE(parseInteger("-1", 0, 10));
+}
+
 TEST(RunnerTest, ReferenceSetIsThreadSafe)
 {
     ReferenceSet refs(quickRef());
@@ -131,11 +156,13 @@ TEST(RunnerTest, EnvOverridesApply)
 
 TEST(RunnerTest, EnvIgnoresGarbage)
 {
-    setenv("FBDP_MEASURE_INSTS", "not-a-number", 1);
     SystemConfig c;
     const std::uint64_t before = c.measureInsts;
-    applyInstsFromEnv(c);
-    EXPECT_EQ(c.measureInsts, before);
+    for (const char *bad : {"not-a-number", "20k", "0", "-5"}) {
+        setenv("FBDP_MEASURE_INSTS", bad, 1);
+        applyInstsFromEnv(c);
+        EXPECT_EQ(c.measureInsts, before) << "'" << bad << "'";
+    }
     unsetenv("FBDP_MEASURE_INSTS");
 }
 

@@ -23,10 +23,9 @@
  *   --verbose             list every changed key and missing key
  *   --profile             kernel-profile preset: compare only the
  *                         per-shard counters and the channel event
- *                         imbalance (kernel.shards.*, deterministic
- *                         and thread-count invariant), skipping host
- *                         seconds, rates and lane assignments — the
- *                         shape for gating two --profile-kernel dumps
+ *                         imbalance (kernel.shards.*, deterministic),
+ *                         skipping host seconds and rates — the shape
+ *                         for gating two --profile-kernel dumps
  *                         against each other
  *
  * History mode — trend a cross-run ledger instead of diffing two
@@ -82,8 +81,8 @@ usage(const char *argv0)
         << "  --verbose            list all changes and missing keys\n"
         << "  --profile            preset: only the deterministic\n"
         << "                       kernel.shards counters + event\n"
-        << "                       imbalance (skips host time, rates\n"
-        << "                       and lane assignments)\n"
+        << "                       imbalance (skips host time and\n"
+        << "                       rates)\n"
         << "or trend a cross-run ledger:\n"
         << "       " << argv0 << " --history <runs.jsonl> [options]\n"
         << "  --digest <hex>       config digest to trend (default:\n"
@@ -140,14 +139,12 @@ main(int argc, char **argv)
         } else if (arg == "--profile") {
             // The kernel self-profile's deterministic slice: per-shard
             // event/queue/mailbox counters and the channel imbalance
-            // summary compare exactly across thread counts; host
-            // seconds, derived rates and the shard->lane assignment
-            // are host/schedule facts and are skipped.
+            // summary compare exactly across runs; host seconds and
+            // derived rates are host facts and are skipped.
             opt.only.push_back("kernel.shards.");
             opt.only.push_back("kernel.event_imbalance");
             opt.ignore.push_back("_seconds");
             opt.ignore.push_back("per_sec");
-            opt.ignore.push_back(".lane");
         } else if (arg == "--verbose") {
             verbose = true;
         } else if (arg == "--history") {
