@@ -6,6 +6,31 @@
 
 namespace fbdp {
 
+namespace {
+
+/**
+ * Build the tag mirror and candidate policy of one prefetch attachment
+ * point.  @p table_dimms is the mirror's DIMM count: the AMB caches
+ * are per DIMM, the MC buffer is one pseudo-DIMM.  A DIMM-aware policy
+ * sees the real topology either way.
+ */
+void
+buildPrefetcher(const PrefetchConfig &pc, const ControllerConfig &cfg,
+                unsigned table_dimms, std::unique_ptr<PrefetchTable> &tbl,
+                std::unique_ptr<PrefetchPolicy> &pol)
+{
+    tbl = std::make_unique<PrefetchTable>(table_dimms, pc.entries,
+                                          pc.ways);
+    PolicyParams pp;
+    pp.regionLines = cfg.regionLines;
+    pp.degree = pc.degree;
+    pp.nDimms = cfg.nDimms;
+    pp.throttle = pc.throttle;
+    pol = PolicyRegistry::instance().make(pc.policy, pp);
+}
+
+} // namespace
+
 MemController::MemController(std::string name, EventQueue *event_queue,
                              const ControllerConfig &config)
     : _name(std::move(name)),
@@ -21,30 +46,14 @@ MemController::MemController(std::string name, EventQueue *event_queue,
         dimms.emplace_back(&cfg.timing, cfg.banksPerDimm);
     if (cfg.fbd)
         dimmBus.resize(cfg.nDimms);
-    if (cfg.apEnable) {
+    if (cfg.ambPrefetch.enabled()) {
         fbdp_assert(cfg.fbd, "AMB prefetching requires FB-DIMM");
-        table = std::make_unique<PrefetchTable>(
-            cfg.nDimms, cfg.ambEntries, cfg.ambWays);
-        PolicyParams pp;
-        pp.regionLines = cfg.regionLines;
-        pp.degree = cfg.apDegree;
-        pp.nDimms = cfg.nDimms;
-        pp.throttle = cfg.apThrottle;
-        apPol = PolicyRegistry::instance().make(cfg.apPolicy, pp);
+        buildPrefetcher(cfg.ambPrefetch, cfg, cfg.nDimms, table, apPol);
     }
-    if (cfg.mcPrefetch) {
-        fbdp_assert(!cfg.apEnable,
-                    "mcPrefetch and apEnable are exclusive");
-        // One pseudo-DIMM: the buffer sits at the controller.
-        mcBuf = std::make_unique<PrefetchTable>(1, cfg.mcEntries,
-                                                cfg.mcWays);
-        PolicyParams pp;
-        pp.regionLines = cfg.regionLines;
-        pp.degree = cfg.mcDegree;
-        pp.nDimms = cfg.nDimms;  // a DIMM-aware policy still sees
-                                 // the real topology
-        pp.throttle = cfg.mcThrottle;
-        mcPol = PolicyRegistry::instance().make(cfg.mcPolicy, pp);
+    if (cfg.mcBufPrefetch.enabled()) {
+        fbdp_assert(!table,
+                    "mcBufPrefetch and ambPrefetch are exclusive");
+        buildPrefetcher(cfg.mcBufPrefetch, cfg, 1, mcBuf, mcPol);
     }
     if (cfg.refreshEnable) {
         refreshPending.assign(cfg.nDimms, false);
@@ -76,12 +85,12 @@ MemController::bindTracer(trace::Tracer *t, unsigned channel)
             trc.bank[d * cfg.banksPerDimm + b] =
                 t->track(dn + ".bank" + std::to_string(b));
     }
-    if (cfg.apEnable) {
+    if (table) {
         trc.amb.resize(cfg.nDimms);
         for (unsigned d = 0; d < cfg.nDimms; ++d)
             trc.amb[d] = t->track(ch + ".dimm" + std::to_string(d)
                                   + ".amb");
-    } else if (cfg.mcPrefetch) {
+    } else if (mcBuf) {
         trc.amb.resize(1);
         trc.amb[0] = t->track(ch + ".mcbuf");
     }
@@ -186,7 +195,7 @@ MemController::pushAt(TransPtr t, Tick sent_at)
         ++nWrites;
     }
 
-    if (cfg.apEnable) {
+    if (table) {
         const unsigned d = t->coord.dimm;
         if (t->isRead()) {
             const bool use_ap = !t->swPrefetch || cfg.apOnSwPrefetch;
@@ -219,7 +228,7 @@ MemController::pushAt(TransPtr t, Tick sent_at)
             }
             t->phase = TransPhase::NeedActivate;
         }
-    } else if (cfg.mcPrefetch) {
+    } else if (mcBuf) {
         if (t->isRead()) {
             mcBuf->countRead();
             if (mcBuf->peek(0, t->lineAddr)) {
@@ -405,10 +414,10 @@ MemController::policyAccess(const Transaction *t, Tick now) const
 void
 MemController::emitCandidates(Transaction *t, bool convert)
 {
-    PrefetchTable *tbl = cfg.apEnable ? table.get() : mcBuf.get();
-    PrefetchPolicy *pol = cfg.apEnable ? apPol.get() : mcPol.get();
+    PrefetchTable *tbl = table ? table.get() : mcBuf.get();
+    PrefetchPolicy *pol = table ? apPol.get() : mcPol.get();
     // The AMB cache is per DIMM; the MC buffer is one pseudo-DIMM.
-    const unsigned td = cfg.apEnable ? t->coord.dimm : 0u;
+    const unsigned td = table ? t->coord.dimm : 0u;
 
     t->nPfLines = 0;
     t->groupLines = 1;
@@ -725,7 +734,7 @@ MemController::issueRead(Transaction *t, Tick now)
             finish(t, ready);
         } else {
             const Addr la = t->pfLines[order[i - 1]];
-            if (cfg.apEnable) {
+            if (table) {
                 // AMB prefetching: fills stay behind the AMB and
                 // never touch the channel.
                 table->resolveFill(d, la, d_start + tm.burst);

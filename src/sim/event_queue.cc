@@ -162,16 +162,6 @@ EventQueue::drainSameTick(Tick t)
             + static_cast<std::uint32_t>(b);
 }
 
-/** Remove the heap top without touching its event's heapIdx. */
-void
-EventQueue::popTop()
-{
-    Slot moved = heap.back();
-    heap.pop_back();
-    if (!heap.empty())
-        siftDown(0, moved);
-}
-
 bool
 EventQueue::step()
 {

@@ -211,7 +211,6 @@ class EventQueue
     void siftUp(std::size_t idx, Slot s);
     void siftDown(std::size_t idx, Slot s);
     void removeAt(std::size_t idx);
-    void popTop();
     void drainSameTick(Tick t);
 
     /** Batch size at which run() stops popping same-tick events one

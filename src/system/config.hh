@@ -22,7 +22,7 @@
 #include "common/types.hh"
 #include "mc/address_map.hh"
 #include "mc/controller.hh"
-#include "system/prefetch_config.hh"
+#include "prefetch/prefetch_config.hh"
 
 namespace fbdp {
 
@@ -81,21 +81,6 @@ struct SystemConfig
     unsigned regionLines = 4;     ///< K of the address interleaving
     bool apFullLatency = false;   ///< APFL analysis mode
 
-    // --- deprecated prefetch mirrors ---
-    // Honoured (with a one-time warning) only while the nested block
-    // above is untouched; new code should set ambPrefetch /
-    // mcBufPrefetch instead.  Presets keep them in sync so existing
-    // readers observe the same values.
-    bool apEnable = false;
-    unsigned ambEntries = 64;
-    unsigned ambWays = 0;         ///< 0 = fully associative
-    bool mcPrefetch = false;
-    unsigned mcEntries = 256;
-    unsigned mcWays = 0;
-    /** Hardware stream prefetcher at the L2 (Section 5.4's
-     *  speculation). Configure via hier.hwPrefetch for detail. */
-    bool hwPrefetch = false;
-
     // --- observability ---
     /**
      * Latency-phase attribution: stamp every transaction's phase
@@ -143,17 +128,11 @@ struct SystemConfig
     static SystemConfig fbdAp();
 
     /**
-     * ambPrefetch with the deprecated mirrors folded in: when the
-     * nested block is disabled but the legacy apEnable flag is set,
-     * the legacy fields are honoured as a region policy (and a
-     * one-time deprecation warning is emitted).
+     * Derived controller configuration for one logic channel.
+     * fatal()s when the prefetch placement is impossible: an AMB
+     * prefetcher without FB-DIMM, both attachment points at once, or
+     * either one under plain cacheline interleaving.
      */
-    PrefetchConfig resolvedAmbPrefetch() const;
-
-    /** mcBufPrefetch with the deprecated mirrors folded in. */
-    PrefetchConfig resolvedMcPrefetch() const;
-
-    /** Derived controller configuration for one logic channel. */
     ControllerConfig controllerConfig() const;
 
     /** Derived address-map configuration. */

@@ -14,7 +14,7 @@ TEST(ConfigTest, Ddr2Preset)
 {
     SystemConfig c = SystemConfig::ddr2();
     EXPECT_FALSE(c.fbd);
-    EXPECT_FALSE(c.apEnable);
+    EXPECT_FALSE(c.ambPrefetch.enabled());
     EXPECT_EQ(static_cast<int>(c.scheme),
               static_cast<int>(Interleave::Cacheline));
     EXPECT_EQ(c.logicChannels, 2u);
@@ -28,12 +28,13 @@ TEST(ConfigTest, FbdApPresetMatchesSection52Defaults)
 {
     SystemConfig c = SystemConfig::fbdAp();
     EXPECT_TRUE(c.fbd);
-    EXPECT_TRUE(c.apEnable);
+    EXPECT_EQ(c.ambPrefetch.policy, "region");
     EXPECT_EQ(static_cast<int>(c.scheme),
               static_cast<int>(Interleave::MultiCacheline));
     EXPECT_EQ(c.regionLines, 4u);
-    EXPECT_EQ(c.ambEntries, 64u);
-    EXPECT_EQ(c.ambWays, 0u) << "fully associative default";
+    EXPECT_EQ(c.ambPrefetch.entries, 64u);
+    EXPECT_EQ(c.ambPrefetch.ways, 0u) << "fully associative default";
+    EXPECT_FALSE(c.mcBufPrefetch.enabled());
     EXPECT_FALSE(c.apFullLatency);
 }
 
@@ -57,11 +58,19 @@ TEST(ConfigTest, ControllerDerivation)
     SystemConfig c = SystemConfig::fbdAp();
     ControllerConfig cc = c.controllerConfig();
     EXPECT_TRUE(cc.fbd);
-    EXPECT_TRUE(cc.apEnable);
+    EXPECT_EQ(cc.ambPrefetch.spec(), c.ambPrefetch.spec());
+    EXPECT_FALSE(cc.mcBufPrefetch.enabled());
     EXPECT_EQ(cc.nDimms, 4u);
     EXPECT_EQ(cc.timing.memCycle, 3000u);
     EXPECT_FALSE(cc.openPage);
     EXPECT_EQ(cc.cmdDelay, nsToTicks(3));
+
+    // A non-default spec reaches the controller verbatim.
+    c.ambPrefetch = PrefetchConfig::parse("dspatch,degree=2,throttle=0.8");
+    cc = c.controllerConfig();
+    EXPECT_EQ(cc.ambPrefetch.spec(), c.ambPrefetch.spec());
+    EXPECT_EQ(cc.ambPrefetch.spec(),
+              "dspatch,degree=2,entries=64,ways=0,throttle=0.8");
 }
 
 TEST(ConfigTest, Ddr2CommandPathIncludesRegisterAnd2T)
@@ -90,6 +99,14 @@ TEST(ConfigTest, ApRequiresFbd)
     SystemConfig c = SystemConfig::fbdAp();
     c.fbd = false;
     EXPECT_DEATH(c.controllerConfig(), "requires FB-DIMM");
+}
+
+TEST(ConfigTest, McBufferRequiresRegionPreservingScheme)
+{
+    SystemConfig c = SystemConfig::fbdBase();
+    c.mcBufPrefetch.policy = "region";
+    EXPECT_DEATH(c.controllerConfig(),
+                 "MC buffer needs region-preserving interleaving");
 }
 
 TEST(ConfigTest, AddressMapDerivation)

@@ -42,10 +42,8 @@ class ControllerApTest : public ::testing::Test
     {
         ControllerConfig c;
         c.fbd = true;
-        c.apEnable = true;
+        c.ambPrefetch = PrefetchConfig{"region", 0, entries, ways, 0.0};
         c.regionLines = k;
-        c.ambEntries = entries;
-        c.ambWays = ways;
         return c;
     }
 

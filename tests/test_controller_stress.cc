@@ -52,8 +52,9 @@ TEST_P(ControllerStress, RandomTrafficAllCompletes)
     cfg.fbd = f.fbd;
     if (!f.fbd)
         cfg.cmdDelay = nsToTicks(3) + 2 * cfg.timing.memCycle;
-    cfg.apEnable = f.ap;
-    cfg.ambWays = f.ways;
+    if (f.ap)
+        cfg.ambPrefetch.policy = "region";
+    cfg.ambPrefetch.ways = f.ways;
     cfg.openPage = f.open_page;
     cfg.vrl = f.vrl;
     MemController mc("mc", &eq, cfg);
@@ -141,7 +142,7 @@ runBurst(std::uint64_t seed)
 
     ControllerConfig cfg;
     cfg.fbd = true;
-    cfg.apEnable = true;
+    cfg.ambPrefetch.policy = "region";
     MemController mc("mc", &eq, cfg);
 
     Rng rng(seed);

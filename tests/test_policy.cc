@@ -17,7 +17,7 @@
 
 #include "common/types.hh"
 #include "prefetch/policy.hh"
-#include "system/prefetch_config.hh"
+#include "prefetch/prefetch_config.hh"
 
 using namespace fbdp;
 

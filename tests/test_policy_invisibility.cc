@@ -9,9 +9,8 @@
  * of them exactly — including the doubles, compared with EXPECT_EQ on
  * purpose.
  *
- * Also pins the config-resolution equivalences: the FBD-AP preset,
- * the explicit nested spec and the deprecated legacy mirrors must all
- * build the same machine.
+ * Also pins the config equivalence: the FBD-AP preset and the
+ * explicit nested spec must build the same machine.
  */
 
 #include <gtest/gtest.h>
@@ -71,20 +70,6 @@ TEST(PolicyInvisibility, ExplicitSpecMatchesPreset)
     SystemConfig c = golden();
     c.ambPrefetch =
         PrefetchConfig::parse("region,entries=64,ways=0");
-    System sys(c);
-    expectGolden(sys.run());
-}
-
-TEST(PolicyInvisibility, LegacyMirrorsMatchPreset)
-{
-    // The deprecated path: nested block disabled, legacy booleans
-    // set.  Resolution folds the mirrors into a region policy (and
-    // warns once); results must still be bit-identical.
-    SystemConfig c = golden();
-    c.ambPrefetch.policy = "none";
-    c.apEnable = true;
-    c.ambEntries = 64;
-    c.ambWays = 0;
     System sys(c);
     expectGolden(sys.run());
 }
