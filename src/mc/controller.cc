@@ -6,31 +6,6 @@
 
 namespace fbdp {
 
-namespace {
-
-/**
- * Build the tag mirror and candidate policy of one prefetch attachment
- * point.  @p table_dimms is the mirror's DIMM count: the AMB caches
- * are per DIMM, the MC buffer is one pseudo-DIMM.  A DIMM-aware policy
- * sees the real topology either way.
- */
-void
-buildPrefetcher(const PrefetchConfig &pc, const ControllerConfig &cfg,
-                unsigned table_dimms, std::unique_ptr<PrefetchTable> &tbl,
-                std::unique_ptr<PrefetchPolicy> &pol)
-{
-    tbl = std::make_unique<PrefetchTable>(table_dimms, pc.entries,
-                                          pc.ways);
-    PolicyParams pp;
-    pp.regionLines = cfg.regionLines;
-    pp.degree = pc.degree;
-    pp.nDimms = cfg.nDimms;
-    pp.throttle = pc.throttle;
-    pol = PolicyRegistry::instance().make(pc.policy, pp);
-}
-
-} // namespace
-
 MemController::MemController(std::string name, EventQueue *event_queue,
                              const ControllerConfig &config)
     : _name(std::move(name)),
@@ -46,14 +21,24 @@ MemController::MemController(std::string name, EventQueue *event_queue,
         dimms.emplace_back(&cfg.timing, cfg.banksPerDimm);
     if (cfg.fbd)
         dimmBus.resize(cfg.nDimms);
-    if (cfg.ambPrefetch.enabled()) {
-        fbdp_assert(cfg.fbd, "AMB prefetching requires FB-DIMM");
-        buildPrefetcher(cfg.ambPrefetch, cfg, cfg.nDimms, table, apPol);
-    }
-    if (cfg.mcBufPrefetch.enabled()) {
-        fbdp_assert(!table,
-                    "mcBufPrefetch and ambPrefetch are exclusive");
-        buildPrefetcher(cfg.mcBufPrefetch, cfg, 1, mcBuf, mcPol);
+    pfAtAmb = cfg.ambPrefetch.enabled();
+    fbdp_assert(!pfAtAmb || cfg.fbd, "AMB prefetching requires FB-DIMM");
+    fbdp_assert(!pfAtAmb || !cfg.mcBufPrefetch.enabled(),
+                "mcBufPrefetch and ambPrefetch are exclusive");
+    const PrefetchConfig &pc =
+        pfAtAmb ? cfg.ambPrefetch : cfg.mcBufPrefetch;
+    if (pc.enabled()) {
+        // The AMB caches are per DIMM; the MC buffer is one
+        // pseudo-DIMM.  A DIMM-aware policy sees the real topology
+        // either way.
+        pfTable = std::make_unique<PrefetchTable>(
+            pfAtAmb ? cfg.nDimms : 1u, pc.entries, pc.ways);
+        PolicyParams pp;
+        pp.regionLines = cfg.regionLines;
+        pp.degree = pc.degree;
+        pp.nDimms = cfg.nDimms;
+        pp.throttle = pc.throttle;
+        pfPolicy = PolicyRegistry::instance().make(pc.policy, pp);
     }
     if (cfg.refreshEnable) {
         refreshPending.assign(cfg.nDimms, false);
@@ -85,12 +70,12 @@ MemController::bindTracer(trace::Tracer *t, unsigned channel)
             trc.bank[d * cfg.banksPerDimm + b] =
                 t->track(dn + ".bank" + std::to_string(b));
     }
-    if (table) {
+    if (pfAtAmb) {
         trc.amb.resize(cfg.nDimms);
         for (unsigned d = 0; d < cfg.nDimms; ++d)
             trc.amb[d] = t->track(ch + ".dimm" + std::to_string(d)
                                   + ".amb");
-    } else if (mcBuf) {
+    } else if (pfTable) {
         trc.amb.resize(1);
         trc.amb[0] = t->track(ch + ".mcbuf");
     }
@@ -195,63 +180,33 @@ MemController::pushAt(TransPtr t, Tick sent_at)
         ++nWrites;
     }
 
-    if (table) {
-        const unsigned d = t->coord.dimm;
+    t->phase = TransPhase::NeedActivate;
+    if (pfTable) {
+        const unsigned s = pfSlot(t.get());
         if (t->isRead()) {
-            const bool use_ap = !t->swPrefetch || cfg.apOnSwPrefetch;
-            if (use_ap) {
-                table->countRead();
-                if (table->peek(d, t->lineAddr)) {
-                    t->phase = TransPhase::AmbHit;
-                    apPol->onHit(policyAccess(t.get(), now));
-                } else {
-                    // Ask the policy what should ride this fetch; the
-                    // accepted candidates become visible in the tag
-                    // mirror immediately so later reads to the same
-                    // lines coalesce onto this fetch.
-                    t->phase = TransPhase::NeedActivate;
-                    emitCandidates(t.get(), /*convert=*/false);
-                }
+            pfTable->countRead();
+            if (pfTable->peek(s, t->lineAddr)) {
+                t->phase = TransPhase::PrefetchHit;
+                pfPolicy->onHit(policyAccess(t.get(), now));
             } else {
-                t->phase = TransPhase::NeedActivate;
+                // Ask the policy what should ride this fetch; the
+                // accepted candidates become visible in the tag
+                // mirror immediately so later reads to the same
+                // lines coalesce onto this fetch.
+                emitCandidates(t.get(), /*convert=*/false);
             }
         } else {
             // Writes invalidate any stale prefetched copy.
             bool was_used = false;
-            if (table->invalidate(d, t->lineAddr, &was_used)) {
-                apPol->onEvict(d, t->lineAddr, was_used);
+            if (pfTable->invalidate(s, t->lineAddr, &was_used)) {
+                pfPolicy->onEvict(s, t->lineAddr, was_used);
                 if (trc.tr && trc.tr->want(trace::Kind::Write)) {
-                    trc.tr->instant(trc.amb[d], "inval", now,
+                    trc.tr->instant(trc.amb[s], "inval", now,
                                     trace::Kind::Write, t->coreId,
                                     t->lineAddr);
                 }
             }
-            t->phase = TransPhase::NeedActivate;
         }
-    } else if (mcBuf) {
-        if (t->isRead()) {
-            mcBuf->countRead();
-            if (mcBuf->peek(0, t->lineAddr)) {
-                t->phase = TransPhase::McHit;
-                mcPol->onHit(policyAccess(t.get(), now));
-            } else {
-                t->phase = TransPhase::NeedActivate;
-                emitCandidates(t.get(), /*convert=*/false);
-            }
-        } else {
-            bool was_used = false;
-            if (mcBuf->invalidate(0, t->lineAddr, &was_used)) {
-                mcPol->onEvict(0, t->lineAddr, was_used);
-                if (trc.tr && trc.tr->want(trace::Kind::Write)) {
-                    trc.tr->instant(trc.amb[0], "inval", now,
-                                    trace::Kind::Write, t->coreId,
-                                    t->lineAddr);
-                }
-            }
-            t->phase = TransPhase::NeedActivate;
-        }
-    } else {
-        t->phase = TransPhase::NeedActivate;
     }
 
     if (trc.tr)
@@ -303,16 +258,10 @@ MemController::wake()
         scheduleWake(now + cfg.timing.memCycle);
 }
 
-unsigned
-MemController::slotsFreeNow(Tick now)
-{
-    return cmdLink.cmdSlotsFree(now);
-}
-
 void
 MemController::issueCycle(Tick now)
 {
-    // Group candidates by priority class: hit-first (AMB hits, then
+    // Group candidates by priority class: hit-first (prefetch hits, then
     // open-row hits, then in-progress CAS, then the rest FCFS); reads
     // before writes unless draining.  The window is kept in mcSeq
     // order, so scattering preserves FCFS within each bucket and the
@@ -322,8 +271,7 @@ MemController::issueCycle(Tick now)
         // Lower bucket == higher priority.
         const bool is_read = t->isRead();
         int b;
-        if (t->phase == TransPhase::AmbHit
-            || t->phase == TransPhase::McHit)
+        if (t->phase == TransPhase::PrefetchHit)
             b = 0;
         else if (t->phase == TransPhase::NeedCas)
             b = 1;  // row already open: finish it (hit-first)
@@ -350,7 +298,7 @@ MemController::issueCycle(Tick now)
 
     for (auto &c : bucketCands) {
         for (Transaction *t : c) {
-            if (slotsFreeNow(now) == 0)
+            if (cmdLink.cmdSlotsFree(now) == 0)
                 return;
             tryIssue(t, now);
         }
@@ -360,15 +308,12 @@ MemController::issueCycle(Tick now)
 bool
 MemController::tryIssue(Transaction *t, Tick now)
 {
-    if (cfg.openPage && t->phase != TransPhase::AmbHit
-        && t->phase != TransPhase::McHit)
+    if (cfg.openPage && t->phase != TransPhase::PrefetchHit)
         recomputeOpenPagePhase(t);
 
     switch (t->phase) {
-      case TransPhase::AmbHit:
-        return issueAmbHit(t, now);
-      case TransPhase::McHit:
-        return issueMcHit(t, now);
+      case TransPhase::PrefetchHit:
+        return issuePrefetchHit(t, now);
       case TransPhase::NeedPrecharge:
         return issuePrecharge(t, now);
       case TransPhase::NeedActivate:
@@ -414,10 +359,8 @@ MemController::policyAccess(const Transaction *t, Tick now) const
 void
 MemController::emitCandidates(Transaction *t, bool convert)
 {
-    PrefetchTable *tbl = table ? table.get() : mcBuf.get();
-    PrefetchPolicy *pol = table ? apPol.get() : mcPol.get();
-    // The AMB cache is per DIMM; the MC buffer is one pseudo-DIMM.
-    const unsigned td = table ? t->coord.dimm : 0u;
+    PrefetchPolicy *pol = pfPolicy.get();
+    const unsigned s = pfSlot(t);
 
     t->nPfLines = 0;
     t->groupLines = 1;
@@ -437,7 +380,7 @@ MemController::emitCandidates(Transaction *t, bool convert)
     if (throttle > 0.0 && acc.linkUtil > throttle) {
         // The return link is past its configured ceiling: demand
         // traffic needs every frame, so every candidate is shed.
-        tbl->countDropped(dropped + cands.size());
+        pfTable->countDropped(dropped + cands.size());
         return;
     }
 
@@ -457,13 +400,13 @@ MemController::emitCandidates(Transaction *t, bool convert)
             continue;
         }
         AmbCache::Evicted ev;
-        tbl->insertCandidate(td, la, &ev);
+        pfTable->insertCandidate(s, la, &ev);
         if (ev.valid)
-            pol->onEvict(td, ev.lineAddr, ev.used);
+            pol->onEvict(s, ev.lineAddr, ev.used);
         t->pfLines[t->nPfLines++] = la;
     }
     if (dropped)
-        tbl->countDropped(dropped);
+        pfTable->countDropped(dropped);
     t->groupLines = 1 + t->nPfLines;
 }
 
@@ -473,7 +416,7 @@ MemController::convertHitToMiss(Transaction *t)
     ++nHitConversions;
     if (trc.tr && trc.tr->want(trace::Kind::Prefetch)) {
         // The prefetched line was evicted before its demand arrived.
-        trc.tr->instant(trc.amb[t->coord.dimm], "kill", eq->now(),
+        trc.tr->instant(trc.amb[pfSlot(t)], "kill", eq->now(),
                         trace::Kind::Prefetch, t->coreId, t->lineAddr);
     }
     t->phase = TransPhase::NeedActivate;
@@ -481,10 +424,10 @@ MemController::convertHitToMiss(Transaction *t)
 }
 
 bool
-MemController::issueAmbHit(Transaction *t, Tick now)
+MemController::issuePrefetchHit(Transaction *t, Tick now)
 {
-    const unsigned d = t->coord.dimm;
-    AmbCache::Line *line = table->peek(d, t->lineAddr);
+    const unsigned s = pfSlot(t);
+    AmbCache::Line *line = pfTable->peek(s, t->lineAddr);
     if (!line) {
         // The prefetched copy was evicted before we fetched it.
         convertHitToMiss(t);
@@ -495,98 +438,56 @@ MemController::issueAmbHit(Transaction *t, Tick now)
         return false;
     }
 
-    cmdLink.useCmdSlot(now);
-    const Tick arrive = now + cfg.cmdDelay;
+    // When the hit reaches the buffer, when its data leaves for the
+    // return trip, and when that data is back at the controller.
+    Tick arrive, data_at, ready;
+    if (pfAtAmb) {
+        const unsigned d = t->coord.dimm;
+        cmdLink.useCmdSlot(now);
+        arrive = now + cfg.cmdDelay;
+        Tick nb_earliest = std::max(arrive, line->readyAt);
+        if (cfg.apFullLatency) {
+            // APFL (Fig. 9): same idle latency as a DRAM access, but
+            // no bank activity.
+            nb_earliest = std::max(
+                arrive + cfg.timing.tRCD + cfg.timing.tCL,
+                line->readyAt);
+        }
+        data_at = reserveNorthbound(nb_earliest, d);
+        ready = data_at + cfg.timing.burst + chainDelay(d);
+    } else {
+        // The data already sits at the controller: no command and no
+        // link, so the whole service interval is the buffer wait.
+        arrive = now;
+        ready = std::max(now, line->readyAt);
+        data_at = ready;
+    }
     if (att) {
         if (!t->stampIssue)
             t->stampIssue = now;
         t->stampCas = now;
         t->stampArrive = arrive;
+        t->stampData = data_at;
     }
-    Tick nb_earliest = std::max(arrive, line->readyAt);
-    if (cfg.apFullLatency) {
-        // APFL (Fig. 9): same idle latency as a DRAM access, but no
-        // bank activity.
-        nb_earliest = std::max(arrive + cfg.timing.tRCD + cfg.timing.tCL,
-                               line->readyAt);
-    }
-    const Tick nb_start = reserveNorthbound(nb_earliest, d);
-    const Tick ready = nb_start + cfg.timing.burst + chainDelay(d);
-    if (att)
-        t->stampData = nb_start;
 
-    ++nAmbHits;
     // Timeliness: the prefetch covered this read, but its fill had
-    // not reached the AMB SRAM when the demand command arrived.
+    // not reached the buffer when the demand arrived.
     const bool late = line->readyAt > arrive;
-    if (late) {
-        ++nLatePfHits;
-        table->countLateHit();
-    }
-    table->countHit();
+    if (late)
+        pfTable->countLateHit();
+    pfTable->countHit();
     line->used = true;
     t->ambServed = true;
     t->phase = TransPhase::WaitData;
     if (trc.tr) {
         if (trc.tr->want(trace::Kind::Prefetch)) {
-            trc.tr->instant(trc.amb[d], late ? "late_hit" : "hit",
+            trc.tr->instant(trc.amb[s], late ? "late_hit" : "hit",
                             arrive, trace::Kind::Prefetch, t->coreId,
                             t->lineAddr);
         }
-        trc.tr->instant(trc.south, "amb_rd", now);
-        traceTxn("amb_hit", arrive, t);
-    }
-    finish(t, ready);
-    return true;
-}
-
-bool
-MemController::issueMcHit(Transaction *t, Tick now)
-{
-    AmbCache::Line *line = mcBuf->peek(0, t->lineAddr);
-    if (!line) {
-        // Evicted before service: ask the policy again.
-        ++nHitConversions;
-        if (trc.tr && trc.tr->want(trace::Kind::Prefetch)) {
-            trc.tr->instant(trc.amb[0], "kill", now,
-                            trace::Kind::Prefetch, t->coreId,
-                            t->lineAddr);
-        }
-        t->phase = TransPhase::NeedActivate;
-        emitCandidates(t, /*convert=*/true);
-        return false;
-    }
-    if (line->readyAt == AmbCache::fillPending)
-        return false;
-
-    // The data is already at the controller: no command, no link.
-    const Tick ready = std::max(now, line->readyAt);
-    if (att) {
-        // No command and no link: the whole service interval is the
-        // buffer wait, bounded by [now, ready].
-        if (!t->stampIssue)
-            t->stampIssue = now;
-        t->stampCas = now;
-        t->stampArrive = now;
-        t->stampData = ready;
-    }
-    ++nMcHits;
-    const bool late = line->readyAt > now;
-    if (late) {
-        ++nLatePfHits;
-        mcBuf->countLateHit();
-    }
-    mcBuf->countHit();
-    line->used = true;
-    t->ambServed = true;
-    t->phase = TransPhase::WaitData;
-    if (trc.tr) {
-        if (trc.tr->want(trace::Kind::Prefetch)) {
-            trc.tr->instant(trc.amb[0], late ? "late_hit" : "hit",
-                            now, trace::Kind::Prefetch, t->coreId,
-                            t->lineAddr);
-        }
-        traceTxn("mc_hit", now, t);
+        if (pfAtAmb)
+            trc.tr->instant(trc.south, "amb_rd", now);
+        traceTxn(pfAtAmb ? "amb_hit" : "mc_hit", arrive, t);
     }
     finish(t, ready);
     return true;
@@ -734,36 +635,25 @@ MemController::issueRead(Transaction *t, Tick now)
             finish(t, ready);
         } else {
             const Addr la = t->pfLines[order[i - 1]];
-            if (table) {
-                // AMB prefetching: fills stay behind the AMB and
-                // never touch the channel.
-                table->resolveFill(d, la, d_start + tm.burst);
-                apPol->onFill(d, la, d_start + tm.burst);
-                if (trc.tr && trc.tr->want(trace::Kind::Prefetch)) {
-                    trc.tr->instant(trc.amb[d], "fill",
-                                    d_start + tm.burst,
-                                    trace::Kind::Prefetch, t->coreId,
-                                    la);
-                }
-            } else {
-                // Controller-level prefetching: the neighbours must
-                // cross the channel into the MC buffer, consuming
-                // the bandwidth AMB prefetching preserves.
-                Tick ready;
+            // At the AMB the fill stays behind the AMB and never
+            // touches the channel.  Controller-level prefetching must
+            // move the neighbour across the channel into the MC
+            // buffer, consuming the bandwidth AMB prefetching
+            // preserves.
+            Tick fill_at = d_start + tm.burst;
+            if (!pfAtAmb) {
                 if (cfg.fbd) {
-                    const Tick nb = reserveNorthbound(d_start, d);
-                    ready = nb + tm.burst + chainDelay(d);
-                } else {
-                    ready = d_start + tm.burst;
+                    fill_at = reserveNorthbound(d_start, d) + tm.burst
+                        + chainDelay(d);
                 }
                 nChannelBytes += lineBytes;
-                mcBuf->resolveFill(0, la, ready);
-                mcPol->onFill(0, la, ready);
-                if (trc.tr && trc.tr->want(trace::Kind::Prefetch)) {
-                    trc.tr->instant(trc.amb[0], "fill", ready,
-                                    trace::Kind::Prefetch, t->coreId,
-                                    la);
-                }
+            }
+            const unsigned s = pfSlot(t);
+            pfTable->resolveFill(s, la, fill_at);
+            pfPolicy->onFill(s, la, fill_at);
+            if (trc.tr && trc.tr->want(trace::Kind::Prefetch)) {
+                trc.tr->instant(trc.amb[s], "fill", fill_at,
+                                trace::Kind::Prefetch, t->coreId, la);
             }
         }
     }
@@ -968,11 +858,8 @@ MemController::resetStats()
     nReads = 0;
     nWrites = 0;
     nReadsDone = 0;
-    nAmbHits = 0;
     nChannelBytes = 0;
-    nMcHits = 0;
     nHitConversions = 0;
-    nLatePfHits = 0;
     readLatTotal = 0.0;
     latHist.reset();
     latHistDemand.reset();
@@ -980,10 +867,8 @@ MemController::resetStats()
     latHistWrite.reset();
     for (auto &d : dimms)
         d.resetCounts();
-    if (table)
-        table->resetStats();
-    if (mcBuf)
-        mcBuf->resetStats();
+    if (pfTable)
+        pfTable->resetStats();
     if (att)
         att->reset();
 }

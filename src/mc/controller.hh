@@ -12,14 +12,22 @@
  *
  * Scheduling follows the paper: a 64-entry reorder window, the
  * hit-first policy (requests that can be served without opening a row —
- * AMB-cache hits and open-row hits — go first), and read priority over
- * writes until the number of queued writes crosses a drain threshold.
+ * prefetch-buffer hits and open-row hits — go first), and read priority
+ * over writes until the number of queued writes crosses a drain
+ * threshold.
  *
- * With AMB prefetching enabled (FB-DIMM only) a demand read that misses
- * the prefetch information table becomes a K-line region fetch: one
- * activation followed by K pipelined column accesses on the DIMM-level
- * bus; the demanded line is forwarded on the northbound link first and
- * the K-1 neighbours fill the AMB cache without touching the channel.
+ * Prefetching has one attachment point: a PrefetchTable (tag mirror +
+ * accounting) and a PrefetchPolicy, placed either at the AMBs
+ * (ambPrefetch, FB-DIMM only: one buffer per DIMM) or in a buffer at
+ * the controller (mcBufPrefetch, the Section 6 comparison class: a
+ * single pseudo-DIMM).  A demand read that misses the table becomes a
+ * region fetch: one activation followed by the demanded line and the
+ * policy's candidates as pipelined column accesses.  The demanded line
+ * is forwarded on the channel first.  At the AMB the neighbours fill
+ * the AMB cache without touching the channel; in the MC buffer they
+ * cross the channel too.  The placement fixes only the table slot of a
+ * line (its DIMM at the AMB, 0 in the MC buffer), when a neighbour's
+ * fill is ready, and how a hit is timed.
  */
 
 #ifndef FBDP_MC_CONTROLLER_HH
@@ -47,42 +55,56 @@
 
 namespace fbdp {
 
-/** Static configuration of one memory controller / logic channel. */
-struct ControllerConfig
+/**
+ * The controller settings a SystemConfig sets directly.  Both configs
+ * inherit this block, so each default is written once and
+ * SystemConfig::controllerConfig() copies it in one assignment.
+ */
+struct ControllerSettings
 {
     bool fbd = true;             ///< FB-DIMM (vs conventional DDR2)
-    unsigned nDimms = 4;
     unsigned banksPerDimm = 4;
+    bool vrl = false;            ///< variable read latency
+    unsigned writeDrainHigh = 16;  ///< start draining writes here
+    unsigned writeDrainLow = 4;    ///< stop draining here
+
+    /** Model DDR2 auto-refresh (tREFI / tRFC). */
+    bool refreshEnable = true;
+
+    // --- DRAM-level prefetching ---
+    unsigned regionLines = 4;    ///< K of the address interleaving
+    bool apFullLatency = false;  ///< APFL analysis mode (Fig. 9)
+
+    /**
+     * The AMB attachment point: policy + buffer shape of the per-DIMM
+     * AMB caches; "none" = off.  The FBD-AP preset is the canned spec
+     * "region,entries=64,ways=0"; select other policies with e.g.
+     * PrefetchConfig::parse("dspatch,degree=2").
+     */
+    PrefetchConfig ambPrefetch;
+
+    /**
+     * The controller attachment point (the comparison class the paper
+     * discusses in Section 6, after Lin/Reinhardt/Burger): region
+     * fetches ride the *channel* into a buffer at the memory
+     * controller.  Exclusive with ambPrefetch.
+     */
+    PrefetchConfig mcBufPrefetch{"none", 0, 256, 0, 0.0};
+};
+
+/** Static configuration of one memory controller / logic channel. */
+struct ControllerConfig : ControllerSettings
+{
+    unsigned nDimms = 4;
     DramTiming timing = DramTiming::forDataRate(667);
 
     Tick cmdDelay = nsToTicks(3);      ///< channel command delay
     Tick ctrlOverhead = nsToTicks(12); ///< controller overhead
     Tick ambHop = nsToTicks(3);        ///< per-AMB pass-through delay
-    bool vrl = false;                  ///< variable read latency
 
     bool openPage = false;       ///< open-page policy (page interleave)
 
     unsigned queueSize = 64;     ///< reorder-window entries
-    unsigned writeDrainHigh = 16;
-    unsigned writeDrainLow = 4;
-
-    /** Model DDR2 auto-refresh (tREFI / tRFC). */
-    bool refreshEnable = true;
-
-    // --- AMB prefetching ---
-    /** Policy and shape of the per-DIMM AMB caches; "none" = off. */
-    PrefetchConfig ambPrefetch;
-    unsigned regionLines = 4;    ///< K
-    bool apFullLatency = false;  ///< APFL analysis mode (Fig. 9)
-    bool apOnSwPrefetch = true;  ///< sw-prefetch reads use the AP path
-
-    /**
-     * Controller-level prefetching (the comparison class the paper
-     * discusses in Section 6, after Lin/Reinhardt/Burger: region
-     * fetches ride the *channel* into a buffer at the memory
-     * controller).  Exclusive with ambPrefetch.
-     */
-    PrefetchConfig mcBufPrefetch{"none", 0, 256, 0, 0.0};
 };
 
 /**
@@ -200,10 +222,6 @@ class MemController
         return latHistWrite;
     }
 
-    /** AMB/MC hits whose fill had not completed when demanded (the
-     *  prefetch arrived, but late — DSPatch-style timeliness). */
-    std::uint64_t latePrefetchHits() const { return nLatePfHits; }
-
     // --- telemetry gauges (cumulative; samplers take deltas) ---
     /** Requests queued in the controller (window + overflow). */
     size_t queueDepth() const
@@ -247,31 +265,16 @@ class MemController
     /** Aggregate DRAM operation counts across the channel's DIMMs. */
     DramOpCounts dramOps() const;
 
-    const PrefetchTable *prefetchTable() const { return table.get(); }
+    /** Table of the prefetch attachment point — the per-DIMM AMB
+     *  caches or the single MC buffer — with its hit, lateness and
+     *  coverage counters; nullptr when prefetching is off. */
+    const PrefetchTable *prefetchTable() const { return pfTable.get(); }
 
-    /** MC-buffer mirror when mcBufPrefetch is enabled. */
-    const PrefetchTable *mcBuffer() const { return mcBuf.get(); }
+    /** Candidate policy of the attachment point, nullptr when off. */
+    const PrefetchPolicy *prefetchPolicy() const { return pfPolicy.get(); }
 
-    /** Candidate policy of the AMB attachment point (nullptr unless
-     *  ambPrefetch is enabled). */
-    const PrefetchPolicy *ambPolicy() const { return apPol.get(); }
-
-    /** Candidate policy of the MC buffer (nullptr unless
-     *  mcBufPrefetch is enabled). */
-    const PrefetchPolicy *mcBufferPolicy() const { return mcPol.get(); }
-
-    /** The active prefetch policy at either attachment point, or
-     *  nullptr when no prefetching is configured. */
-    const PrefetchPolicy *
-    activePolicy() const
-    {
-        return apPol ? apPol.get() : mcPol.get();
-    }
-
-    std::uint64_t ambHits() const { return nAmbHits; }
-    std::uint64_t mcHits() const { return nMcHits; }
-
-    /** AMB hits that lost their line to eviction before the fetch. */
+    /** Prefetch hits that lost their line to eviction before
+     *  service. */
     std::uint64_t hitConversions() const { return nHitConversions; }
 
     /** Clear measurement counters (not timing state). */
@@ -293,8 +296,7 @@ class MemController
      *  @return true iff a command slot was consumed. */
     bool tryIssue(Transaction *t, Tick now);
 
-    bool issueAmbHit(Transaction *t, Tick now);
-    bool issueMcHit(Transaction *t, Tick now);
+    bool issuePrefetchHit(Transaction *t, Tick now);
     bool issueActivate(Transaction *t, Tick now);
     bool issuePrecharge(Transaction *t, Tick now);
     bool issueRead(Transaction *t, Tick now);
@@ -303,7 +305,7 @@ class MemController
     /** Open-page: re-derive the phase from live bank state. */
     void recomputeOpenPagePhase(Transaction *t);
 
-    /** AMB-hit line disappeared: fall back to a region fetch. */
+    /** Prefetch-hit line disappeared: fall back to a region fetch. */
     void convertHitToMiss(Transaction *t);
 
     /** The demand access as the policy sees it. */
@@ -322,7 +324,6 @@ class MemController
     void finish(Transaction *t, Tick ready);
 
     void completionFire();
-    unsigned slotsFreeNow(Tick now);
 
     std::string _name;
     EventQueue *eq;
@@ -336,11 +337,18 @@ class MemController
     std::vector<BusTracker> dimmBus;     ///< per-DIMM DDR2 buses (FBD)
     BusTracker sharedBus;                ///< DDR2 baseline data bus
 
-    std::unique_ptr<PrefetchTable> table;
-    std::unique_ptr<PrefetchTable> mcBuf;  ///< one pseudo-DIMM
+    /** The prefetch attachment point; pfTable == nullptr means off. */
+    std::unique_ptr<PrefetchTable> pfTable;
+    std::unique_ptr<PrefetchPolicy> pfPolicy;
+    bool pfAtAmb = false;  ///< placement: AMBs, else the MC buffer
 
-    std::unique_ptr<PrefetchPolicy> apPol; ///< AMB candidate policy
-    std::unique_ptr<PrefetchPolicy> mcPol; ///< MC-buffer policy
+    /** Table slot (and trc.amb track) of @p t's line: its DIMM at the
+     *  AMB, the single pseudo-DIMM 0 in the MC buffer. */
+    unsigned
+    pfSlot(const Transaction *t) const
+    {
+        return pfAtAmb ? t->coord.dimm : 0u;
+    }
 
     /** One finished transaction waiting for its data to arrive. */
     struct Completion
@@ -412,11 +420,8 @@ class MemController
     std::uint64_t nReads = 0;
     std::uint64_t nWrites = 0;
     std::uint64_t nReadsDone = 0;
-    std::uint64_t nAmbHits = 0;
-    std::uint64_t nMcHits = 0;
     std::uint64_t nChannelBytes = 0;
     std::uint64_t nHitConversions = 0;
-    std::uint64_t nLatePfHits = 0;
     double readLatTotal = 0.0;  ///< in ticks
     stats::Histogram latHist{"read_latency", "read latency (ns)",
                              0.0, 1000.0, 500};
@@ -441,7 +446,7 @@ class MemController
         std::uint32_t south = 0;  ///< command/write-data link
         std::uint32_t north = 0;  ///< read-return link
         std::vector<std::uint32_t> bank;  ///< [dimm * banks + bank]
-        std::vector<std::uint32_t> amb;   ///< per DIMM (AP only)
+        std::vector<std::uint32_t> amb;   ///< per prefetch table slot
         std::vector<std::uint32_t> dimm;  ///< per DIMM (refresh)
     };
     TraceBinding trc;

@@ -38,13 +38,8 @@ class PrefetchTable
         return static_cast<unsigned>(caches.size());
     }
 
-    /**
-     * Demand-read lookup; bumps the hit counter when found.
-     * @return the line (possibly still in flight) or nullptr.
-     */
-    AmbCache::Line *lookupRead(unsigned dimm_idx, Addr line_addr);
-
-    /** Re-check a previously hit line without double counting. */
+    /** The line (possibly still in flight) or nullptr; counts
+     *  nothing (see countRead / countHit). */
     AmbCache::Line *
     peek(unsigned dimm_idx, Addr line_addr)
     {
@@ -52,21 +47,13 @@ class PrefetchTable
     }
 
     /**
-     * Record the K-1 prefetched lines of a region fetch whose demanded
-     * line is @p demanded.  Entries become visible immediately with
-     * @c fillPending readiness; fills are timed later via
-     * resolveFill().
-     */
-    void insertGroup(unsigned dimm_idx, Addr region_base,
-                     unsigned region_lines, Addr demanded);
-
-    /**
-     * Record one policy-emitted prefetch candidate (the per-line core
-     * of insertGroup): counts a prefetch issue even when the line is
-     * already resident — a resident line keeps its FIFO age — and
-     * reports a displaced victim through @p evicted so the owning
-     * controller can train its policy and account pollution (an
-     * unused victim is counted here).
+     * Record one policy-emitted prefetch candidate.  The entry becomes
+     * visible immediately with @c fillPending readiness; its fill is
+     * timed later via resolveFill().  Counts a prefetch issue even
+     * when the line is already resident — a resident line keeps its
+     * FIFO age — and reports a displaced victim through @p evicted so
+     * the owning controller can train its policy and account
+     * pollution (an unused victim is counted here).
      */
     void insertCandidate(unsigned dimm_idx, Addr line_addr,
                          AmbCache::Evicted *evicted = nullptr);

@@ -54,9 +54,8 @@ SystemConfig::controllerConfig() const
                   "interleaving, not scheme = cacheline");
     }
     ControllerConfig cc;
-    cc.fbd = fbd;
+    static_cast<ControllerSettings &>(cc) = *this;
     cc.nDimms = dimmsPerChannel;
-    cc.banksPerDimm = banksPerDimm;
     cc.timing = DramTiming::forDataRate(dataRate);
     if (!fbd) {
         // Command path of the conventional DDR2 channel: a register
@@ -65,15 +64,7 @@ SystemConfig::controllerConfig() const
         // channels loaded with four DIMMs need for signal integrity.
         cc.cmdDelay = nsToTicks(3) + 2 * cc.timing.memCycle;
     }
-    cc.vrl = vrl;
-    cc.writeDrainHigh = writeDrainHigh;
-    cc.writeDrainLow = writeDrainLow;
-    cc.refreshEnable = refreshEnable;
     cc.openPage = (scheme == Interleave::Page);
-    cc.regionLines = regionLines;
-    cc.apFullLatency = apFullLatency;
-    cc.ambPrefetch = ambPrefetch;
-    cc.mcBufPrefetch = mcBufPrefetch;
     return cc;
 }
 

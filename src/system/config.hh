@@ -22,12 +22,16 @@
 #include "common/types.hh"
 #include "mc/address_map.hh"
 #include "mc/controller.hh"
-#include "prefetch/prefetch_config.hh"
 
 namespace fbdp {
 
-/** Everything needed to build and run one simulated machine. */
-struct SystemConfig
+/**
+ * Everything needed to build and run one simulated machine.  The
+ * per-channel settings (fbd, banksPerDimm, vrl, the write-drain
+ * thresholds, refreshEnable, regionLines, apFullLatency and the two
+ * prefetch attachment points) come from ControllerSettings.
+ */
+struct SystemConfig : ControllerSettings
 {
     // --- workload ---
     std::vector<std::string> benchmarks;  ///< one per core
@@ -52,34 +56,10 @@ struct SystemConfig
     HierConfig hier;
 
     // --- memory subsystem ---
-    bool fbd = true;              ///< FB-DIMM vs conventional DDR2
     unsigned logicChannels = 2;   ///< each = two ganged physical ch.
     unsigned dimmsPerChannel = 4;
-    unsigned banksPerDimm = 4;
     unsigned dataRate = 667;      ///< MT/s (533 / 667 / 800)
     Interleave scheme = Interleave::Cacheline;
-    bool vrl = false;
-    unsigned writeDrainHigh = 16;  ///< start draining writes here
-    unsigned writeDrainLow = 4;    ///< stop draining here
-    bool refreshEnable = true;     ///< DDR2 auto-refresh (tREFI/tRFC)
-
-    // --- DRAM-level prefetching ---
-    /**
-     * The AMB attachment point: policy + buffer shape of the per-DIMM
-     * AMB caches.  The FBD-AP preset is the canned spec
-     * "region,entries=64,ways=0"; select other policies with e.g.
-     * PrefetchConfig::parse("dspatch,degree=2").
-     */
-    PrefetchConfig ambPrefetch;
-    /**
-     * The controller attachment point: prefetches cross the channel
-     * into a buffer at the MC (the Section 6 comparison class).
-     * Mutually exclusive with ambPrefetch.
-     */
-    PrefetchConfig mcBufPrefetch{"none", 0, 256, 0, 0.0};
-
-    unsigned regionLines = 4;     ///< K of the address interleaving
-    bool apFullLatency = false;   ///< APFL analysis mode
 
     // --- observability ---
     /**

@@ -637,37 +637,29 @@ System::buildStatGroups(bool include_histograms) const
         addF(g, "refresh", "refresh commands",
              [&mc] { return static_cast<double>(
                          mc.dramOps().refresh); });
-        addF(g, "amb_hits", "reads served by the AMB cache",
-             [&mc] { return static_cast<double>(mc.ambHits()); });
+        // The table of either prefetch placement; with prefetching
+        // off (nullptr) every prefetch stat reads 0.
+        const PrefetchTable *pt = mc.prefetchTable();
+        addF(g, "amb_hits", "reads served by the prefetch buffer", [pt] {
+            return pt ? static_cast<double>(pt->prefetchHits()) : 0.0;
+        });
         addF(g, "late_prefetch_hits",
-             "prefetch hits with the fill still in flight",
-             [&mc] { return static_cast<double>(
-                         mc.latePrefetchHits()); });
-        addF(g, "coverage", "#prefetch_hit / #read", [&mc] {
-            const PrefetchTable *t = mc.prefetchTable();
-            return t ? t->coverage() : 0.0;
-        });
-        addF(g, "efficiency", "#prefetch_hit / #prefetch", [&mc] {
-            const PrefetchTable *t = mc.prefetchTable();
-            return t ? t->efficiency() : 0.0;
-        });
-        addF(g, "pf_dropped", "candidates shed before issue", [&mc] {
-            const PrefetchTable *t = mc.prefetchTable()
-                ? mc.prefetchTable() : mc.mcBuffer();
-            return t ? static_cast<double>(t->droppedCandidates())
-                     : 0.0;
-        });
-        addF(g, "pf_lateness", "late prefetch hits / hits", [&mc] {
-            const PrefetchTable *t = mc.prefetchTable()
-                ? mc.prefetchTable() : mc.mcBuffer();
-            return t ? t->lateness() : 0.0;
-        });
-        addF(g, "pf_pollution",
-             "unused displaced or invalidated / issued", [&mc] {
-                 const PrefetchTable *t = mc.prefetchTable()
-                     ? mc.prefetchTable() : mc.mcBuffer();
-                 return t ? t->pollution() : 0.0;
+             "prefetch hits with the fill still in flight", [pt] {
+                 return pt ? static_cast<double>(pt->lateHits()) : 0.0;
              });
+        addF(g, "coverage", "#prefetch_hit / #read",
+             [pt] { return pt ? pt->coverage() : 0.0; });
+        addF(g, "efficiency", "#prefetch_hit / #prefetch",
+             [pt] { return pt ? pt->efficiency() : 0.0; });
+        addF(g, "pf_dropped", "candidates shed before issue", [pt] {
+            return pt ? static_cast<double>(pt->droppedCandidates())
+                      : 0.0;
+        });
+        addF(g, "pf_lateness", "late prefetch hits / hits",
+             [pt] { return pt ? pt->lateness() : 0.0; });
+        addF(g, "pf_pollution",
+             "unused displaced or invalidated / issued",
+             [pt] { return pt ? pt->pollution() : 0.0; });
 
         // Phase breakdown: where the latency of each transaction
         // class went on this channel (means; Σ phases == total).
@@ -739,15 +731,14 @@ System::collect(Tick window_ticks) const
     for (const auto &mc : controllers) {
         r.reads += mc->reads();
         r.writes += mc->writes();
-        r.ambHits += mc->ambHits();
         bytes += mc->channelBytes();
         lat_weighted += mc->avgReadLatencyNs()
             * static_cast<double>(mc->readLatSamples());
         lat_samples += mc->readLatSamples();
         r.ops += mc->dramOps();
-        const PrefetchTable *t = mc->prefetchTable()
-            ? mc->prefetchTable() : mc->mcBuffer();
-        if (t) {
+        if (const PrefetchTable *t = mc->prefetchTable()) {
+            r.ambHits += t->prefetchHits();
+            r.latePrefetchHits += t->lateHits();
             pf_reads += t->reads();
             pf_hits += t->prefetchHits();
             pf_issued += t->prefetchesIssued();
@@ -758,9 +749,8 @@ System::collect(Tick window_ticks) const
             r.prefetch.evictedUnused += t->evictedUnused();
             r.prefetch.invalidatedUnused += t->invalidatedUnused();
         }
-        if (const PrefetchPolicy *pol = mc->activePolicy())
+        if (const PrefetchPolicy *pol = mc->prefetchPolicy())
             r.prefetch.policy = pol->name();
-        r.ambHits += mc->mcHits();  // MC hits fill the same role
     }
     if (lat_samples)
         r.avgReadLatencyNs = lat_weighted
@@ -787,7 +777,6 @@ System::collect(Tick window_ticks) const
             demand.merge(mc->demandLatencyHist());
             pref.merge(mc->prefHitLatencyHist());
             wr.merge(mc->writeLatencyHist());
-            r.latePrefetchHits += mc->latePrefetchHits();
         }
         auto fill = [](const stats::Histogram &h) {
             LatencyClassStats s;

@@ -163,8 +163,9 @@ TEST_P(AmbCacheFifoProp, SlidingWindowSemantics)
         c.insert(line(i), 0);
         EXPECT_LE(c.population(), cap);
         // The newest `cap` lines are present, older ones are not.
-        if (i >= cap)
+        if (i >= cap) {
             EXPECT_EQ(c.lookup(line(i - cap)), nullptr);
+        }
         EXPECT_NE(c.lookup(line(i)), nullptr);
     }
     EXPECT_EQ(c.evictions(), total - cap);

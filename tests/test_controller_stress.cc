@@ -123,7 +123,9 @@ TEST_P(ControllerStress, RandomTrafficAllCompletes)
     }
     if (f.ap) {
         // Group fetches add K-1 extra CASes per miss; hits add none.
-        EXPECT_GE(mc.dramOps().rdCas + mc.ambHits(), reads_sent);
+        EXPECT_GE(mc.dramOps().rdCas
+                      + mc.prefetchTable()->prefetchHits(),
+                  reads_sent);
     }
 }
 

@@ -300,8 +300,9 @@ TEST(EventQueueTest, LongBurstDispatchesInPrioritySeqOrder)
         const int pa = (order[i - 1] % 3) * 10;
         const int pb = (order[i] % 3) * 10;
         EXPECT_LE(pa, pb);
-        if (pa == pb)
+        if (pa == pb) {
             EXPECT_LT(order[i - 1], order[i]);
+        }
     }
     EXPECT_EQ(eq.dispatched(), 32u);
 }

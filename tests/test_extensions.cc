@@ -68,6 +68,35 @@ TEST(ExtensionsTest, McPrefetchRunsAndCovers)
     EXPECT_LE(r.coverage, 0.75 + 1e-9);
 }
 
+TEST(ExtensionsTest, McPrefetchPerChannelStatsMatchRun)
+{
+    SystemConfig c = quick(SystemConfig::fbdBase());
+    c.scheme = Interleave::MultiCacheline;
+    c.mcBufPrefetch.policy = "region";
+    c.benchmarks = mixByName("2C-1").benches;
+    System sys(c);
+    const RunResult r = sys.run();
+    ASSERT_GT(r.ambHits, 0u);
+
+    auto stat = [](const System::OwnedStatGroup &g, const char *name) {
+        const auto *f =
+            dynamic_cast<const stats::Formula *>(g.group.find(name));
+        return f ? f->value() : -1.0;
+    };
+    double hits = 0.0;
+    unsigned channels = 0;
+    for (const auto &g : sys.buildStatGroups()) {
+        if (g.group.name().rfind("mc", 0) != 0)
+            continue;
+        ++channels;
+        hits += stat(g, "amb_hits");
+        EXPECT_GT(stat(g, "coverage"), 0.0) << g.group.name();
+        EXPECT_GT(stat(g, "efficiency"), 0.0) << g.group.name();
+    }
+    EXPECT_EQ(channels, sys.numControllers());
+    EXPECT_EQ(hits, static_cast<double>(r.ambHits));
+}
+
 TEST(ExtensionsTest, McPrefetchConsumesMoreChannelBandwidth)
 {
     SystemConfig mcp = quick(SystemConfig::fbdBase());

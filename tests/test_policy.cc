@@ -142,8 +142,9 @@ TEST(PolicyConformance, EmissionsRespectDegreeBound)
             drive(*pol, script(4, 4), &max_emitted);
             EXPECT_LE(max_emitted, pol->degree())
                 << n << " degree=" << degree;
-            if (n == "none")
+            if (n == "none") {
                 EXPECT_EQ(max_emitted, 0u);
+            }
         }
     }
 }

@@ -56,15 +56,18 @@ verifySchedule(const std::vector<LogEntry> &log, const DramTiming &t)
         switch (e.cmd) {
           case Cmd::Act:
             ASSERT_FALSE(b.open) << "ACT on open bank @" << e.at;
-            if (b.everAct)
+            if (b.everAct) {
                 ASSERT_GE(e.at, b.lastAct + t.tRC)
                     << "tRC violated @" << e.at;
-            if (b.everPre)
+            }
+            if (b.everPre) {
                 ASSERT_GE(e.at, b.lastPre + t.tRP)
                     << "tRP violated @" << e.at;
-            if (everActAnyBank && lastActAnyBank != e.at)
+            }
+            if (everActAnyBank && lastActAnyBank != e.at) {
                 ASSERT_GE(e.at, lastActAnyBank + t.tRRD)
                     << "tRRD violated @" << e.at;
+            }
             b.lastAct = e.at;
             b.everAct = true;
             b.open = true;
