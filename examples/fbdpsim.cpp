@@ -38,7 +38,8 @@
  *   --no-sp           disable software prefetching
  *   --no-refresh      disable DRAM auto-refresh
  *   --apfl            AMB prefetch with full latency (Fig. 9 mode)
- *   --profile         append an event-kernel profile (events/sec,
+ *   --profile         append an event-kernel profile (host time of
+ *                     the pre-warm and the event phases, events/sec,
  *                     simulated-insts/sec, queue + pool counters)
  *   --profile-kernel  time the sharded kernel itself: a per-shard
  *                     top-down table (busy / mailbox-drain host time,
@@ -435,7 +436,7 @@ main(int argc, char **argv)
     const bool pf_on =
         cfg.ambPrefetch.enabled() || cfg.mcBufPrefetch.enabled();
     if (pf_on) {
-        t.addRow({"AMB-cache hits", std::to_string(r.ambHits)});
+        t.addRow({"AMB-cache hits", std::to_string(r.prefetch.hits)});
         t.addRow({"prefetch coverage", fmtPct(r.coverage)});
         t.addRow({"prefetch efficiency", fmtPct(r.efficiency)});
     }
@@ -458,7 +459,7 @@ main(int argc, char **argv)
     lat.print(std::cout);
     if (pf_on) {
         std::cout << "late prefetch hits (fill still in flight): "
-                  << r.latePrefetchHits << "\n";
+                  << r.prefetch.lateHits << "\n";
 
         // The per-policy quality block: what the policy fetched and
         // what became of it (mirrors --stats-json's "prefetch").
@@ -585,6 +586,8 @@ main(int argc, char **argv)
         const KernelProfile &k = r.kernel;
         std::cout << "\n";
         TextTable p({"kernel profile", "value"});
+        p.addRow({"host time, functional pre-warm (ms)",
+                  fmtD(k.hostPrewarmSeconds * 1e3, 1)});
         p.addRow({"host time, event phases (ms)",
                   fmtD(k.hostEventSeconds * 1e3, 1)});
         p.addRow({"events dispatched",

@@ -48,6 +48,20 @@ CacheArray::invalidate(Addr line_addr)
     return true;
 }
 
+bool
+CacheArray::operator==(const CacheArray &o) const
+{
+    if (nSets != o.nSets || nWays != o.nWays || nextLru != o.nextLru
+        || nHits != o.nHits || nMisses != o.nMisses)
+        return false;
+    const std::size_t words = static_cast<std::size_t>(nSets) * 2 * nWays;
+    return std::equal(store.begin() + static_cast<std::ptrdiff_t>(first),
+                      store.begin()
+                          + static_cast<std::ptrdiff_t>(first + words),
+                      o.store.begin()
+                          + static_cast<std::ptrdiff_t>(o.first));
+}
+
 void
 CacheArray::reset()
 {

@@ -114,6 +114,11 @@ class CacheArray
     std::uint64_t misses() const { return nMisses; }
     void resetStats() { nHits = 0; nMisses = 0; }
 
+    /** Same geometry, LRU clock, counters, and every set's tags and
+     *  ages (so dirty bits too); the host alignment padding is
+     *  ignored. */
+    bool operator==(const CacheArray &o) const;
+
   private:
     /** Tag of a free way; never line-aligned, so it matches no probe. */
     static constexpr Addr invalidTag = ~Addr(0);

@@ -126,6 +126,13 @@ class CacheHierarchy
     size_t l2MshrOccupancy() const { return l2Mshr.occupancy(); }
     unsigned l2MshrCapacity() const { return l2Mshr.capacity(); }
 
+    /** The tag arrays themselves (tests compare whole states). */
+    const CacheArray &l1Array(int core) const
+    {
+        return l1.at(static_cast<size_t>(core));
+    }
+    const CacheArray &l2Array() const { return l2; }
+
     void resetStats();
 
   private:

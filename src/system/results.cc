@@ -143,7 +143,7 @@ ResultSchema::sweepRows()
                     [](const SweepRow &r) { return r.result.writes; }));
         s.add(count("amb_hits", "ops", "reads served by the AMB cache",
                     [](const SweepRow &r) {
-                        return r.result.ambHits;
+                        return r.result.prefetch.hits;
                     }));
         s.add(real("coverage", "ratio", "prefetch hits / reads",
                    [](const SweepRow &r) {
@@ -343,7 +343,7 @@ ResultSchema::latencyPercentiles()
                      "prefetch hits whose fill was still in flight",
                      ColumnKind::Count, [](const SweepRow &r) {
                          return ColumnValue::ofCount(
-                             r.result.latePrefetchHits);
+                             r.result.prefetch.lateHits);
                      }});
         return s;
     }();

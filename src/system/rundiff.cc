@@ -199,11 +199,16 @@ printDiffReport(const DiffReport &r, std::ostream &os, bool verbose)
             os << "  '" << e.textA << "' -> '" << e.textB << "'\n";
             return;
         }
-        os << "  " << e.a << " -> " << e.b << "  ("
-           << std::showpos << std::fixed << std::setprecision(2)
-           << e.relDelta * 100.0 << "%"
-           << std::noshowpos << std::defaultfloat
-           << std::setprecision(6) << ")\n";
+        os << "  " << e.a << " -> " << e.b;
+        // A change from 0 has no meaningful relative size (relDelta
+        // divides by a tiny guard), so say where it started instead.
+        if (e.a == 0.0) {
+            os << "  (from 0)\n";
+            return;
+        }
+        os << "  (" << std::showpos << std::fixed << std::setprecision(2)
+           << e.relDelta * 100.0 << "%" << std::noshowpos
+           << std::defaultfloat << std::setprecision(6) << ")\n";
     };
 
     std::vector<const DiffEntry *> regressions, drifts;

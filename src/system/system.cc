@@ -9,6 +9,7 @@
 #include "common/stats.hh"
 #include "mc/transaction.hh"
 #include "sim/trace.hh"
+#include "system/prewarm.hh"
 #include "workload/trace_file.hh"
 #include "workload/trace_stream.hh"
 
@@ -246,28 +247,25 @@ System::functionalWarm()
         // Roughly one line install per ten ops; aim for 2x capacity.
         warm_ops = 20 * l2_lines / cfg.nCores();
     }
-    for (std::uint64_t k = 0; k < warm_ops; ++k) {
-        for (unsigned i = 0; i < cfg.nCores(); ++i) {
-            TraceOp op = gens[i]->nextWarm();
-            if (op.kind == TraceOp::Kind::Prefetch)
-                hier->functionalPrefetch(static_cast<int>(i), op.addr);
-            else
-                hier->functionalAccess(
-                    static_cast<int>(i), op.addr,
-                    op.kind == TraceOp::Kind::Store);
-        }
-    }
+    functionalPrewarm(gens, *hier, warm_ops);
 }
 
 RunResult
 System::run()
 {
+    // This run keeps one host CPU busy until it returns; the pre-warm
+    // may borrow a second one (see CpuBudget).
+    const CpuBudget::Hold run_cpu(CpuBudget::process());
+
     // Phase 0: functional cache warm-up.
+    const auto prewarm0 = std::chrono::steady_clock::now();
     functionalWarm();
 
-    // Time the event-driven phases only: sim-rate should reflect the
-    // kernel, not process start-up or the functional replay above.
+    // Time the event-driven phases separately: sim-rate should
+    // reflect the kernel, not process start-up or the functional
+    // replay above.
     const auto host0 = std::chrono::steady_clock::now();
+    hostPrewarmSeconds = secsBetween(prewarm0, host0);
 
     // Phase 1: warm up until the first core has executed warmupInsts.
     // Each phase runs whole rounds and stops at the end of the round
@@ -295,8 +293,8 @@ System::run()
     fbdp_assert(phaseDone, "simulation drained during measurement");
     const Tick t1 = alignClocks();
 
-    hostEventSeconds = std::chrono::duration<double>(
-        std::chrono::steady_clock::now() - host0).count();
+    hostEventSeconds = secsBetween(host0,
+                                   std::chrono::steady_clock::now());
     return collect(t1 - t0);
 }
 
@@ -727,7 +725,7 @@ System::collect(Tick window_ticks) const
     std::uint64_t bytes = 0;
     double lat_weighted = 0.0;
     std::uint64_t lat_samples = 0;
-    std::uint64_t pf_reads = 0, pf_hits = 0, pf_issued = 0;
+    std::uint64_t pf_reads = 0;
     for (const auto &mc : controllers) {
         r.reads += mc->reads();
         r.writes += mc->writes();
@@ -737,11 +735,7 @@ System::collect(Tick window_ticks) const
         lat_samples += mc->readLatSamples();
         r.ops += mc->dramOps();
         if (const PrefetchTable *t = mc->prefetchTable()) {
-            r.ambHits += t->prefetchHits();
-            r.latePrefetchHits += t->lateHits();
             pf_reads += t->reads();
-            pf_hits += t->prefetchHits();
-            pf_issued += t->prefetchesIssued();
             r.prefetch.issued += t->prefetchesIssued();
             r.prefetch.hits += t->prefetchHits();
             r.prefetch.lateHits += t->lateHits();
@@ -761,11 +755,11 @@ System::collect(Tick window_ticks) const
         r.bandwidthGBs = static_cast<double>(bytes) / 1e9 / seconds;
     }
     if (pf_reads)
-        r.coverage = static_cast<double>(pf_hits)
+        r.coverage = static_cast<double>(r.prefetch.hits)
             / static_cast<double>(pf_reads);
-    if (pf_issued)
-        r.efficiency = static_cast<double>(pf_hits)
-            / static_cast<double>(pf_issued);
+    if (r.prefetch.issued)
+        r.efficiency = static_cast<double>(r.prefetch.hits)
+            / static_cast<double>(r.prefetch.issued);
 
     // Per-class latency percentiles: merge the controllers' equal-
     // geometry histograms, then interpolate quantiles on the union.
@@ -848,6 +842,7 @@ System::collect(Tick window_ticks) const
     r.kernel.poolHighWater = ps.highWater;
     r.kernel.poolCapacity = ps.capacity;
     r.kernel.hostEventSeconds = hostEventSeconds;
+    r.kernel.hostPrewarmSeconds = hostPrewarmSeconds;
 
     if (cfg.attribution) {
         r.attribution.enabled = true;

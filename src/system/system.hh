@@ -85,6 +85,9 @@ struct KernelProfile
     std::uint64_t poolCapacity = 0;   ///< objects ever carved
 
     double hostEventSeconds = 0.0;    ///< wall time in the event loop
+    /** Wall time of the functional cache pre-warm before the event
+     *  phases (a host fact, like hostEventSeconds). */
+    double hostPrewarmSeconds = 0.0;
 
     /** True when the run was timed per shard (the vector below is
      *  filled). */
@@ -165,7 +168,6 @@ struct RunResult
 
     std::uint64_t reads = 0;            ///< memory reads served
     std::uint64_t writes = 0;
-    std::uint64_t ambHits = 0;
     double coverage = 0.0;              ///< #prefetch_hit / #read
     double efficiency = 0.0;            ///< #prefetch_hit / #prefetch
     PrefetchRunStats prefetch;          ///< per-policy quality block
@@ -179,8 +181,6 @@ struct RunResult
     LatencyClassStats latDemand;    ///< reads missing every buffer
     LatencyClassStats latPrefHit;   ///< reads served by AMB/MC buffer
     LatencyClassStats latWrite;     ///< posted-write completions
-    /** Prefetch hits whose fill was still in flight when demanded. */
-    std::uint64_t latePrefetchHits = 0;
 
     /** Latency-phase / stall-cycle attribution (enabled flag inside;
      *  empty unless SystemConfig::attribution was set). */
@@ -391,7 +391,8 @@ class System : private CompletionSink
                   const PhaseDurations &pd, bool has_profile) override;
 
     /** Phase 0 of run(): functionally replay each core's trace
-     *  prefix (k outer, cores inner) through the cache tag arrays. */
+     *  prefix (k outer, cores inner) through the cache tag arrays
+     *  (see system/prewarm.hh). */
     void functionalWarm();
 
     void resetAllStats();
@@ -467,6 +468,8 @@ class System : private CompletionSink
 
     /** Host wall time of the last run()'s event-driven phases. */
     double hostEventSeconds = 0.0;
+    /** Host wall time of the last run()'s functional pre-warm. */
+    double hostPrewarmSeconds = 0.0;
 
     std::unique_ptr<AddressMap> map;
     std::vector<std::unique_ptr<MemController>> controllers;

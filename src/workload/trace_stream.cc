@@ -723,14 +723,16 @@ TraceStream::decodeNext()
             p += take;
             avail -= take;
             if (recCarryLen == fbtRecordBytes) {
-                decodeRecord(recCarry, &op);
+                decodeRecord(recCarry, passOps + chunk->ops.size() + 1,
+                             &op);
                 chunk->ops.push_back(op);
                 recCarryLen = 0;
             }
         }
         std::size_t nRec = avail / fbtRecordBytes;
         for (std::size_t i = 0; i < nRec; ++i) {
-            decodeRecord(p + i * fbtRecordBytes, &op);
+            decodeRecord(p + i * fbtRecordBytes,
+                         passOps + chunk->ops.size() + 1, &op);
             chunk->ops.push_back(op);
         }
         std::size_t rem = avail % fbtRecordBytes;
@@ -762,7 +764,8 @@ TraceStream::decodeNext()
 }
 
 void
-TraceStream::decodeRecord(const char *rec, TraceOp *out)
+TraceStream::decodeRecord(const char *rec, std::uint64_t record,
+                          TraceOp *out)
 {
     out->gap = getLE32(rec);
     unsigned char kind = static_cast<unsigned char>(rec[4]);
@@ -779,8 +782,7 @@ TraceStream::decodeRecord(const char *rec, TraceOp *out)
       default:
         fatal("unknown trace op kind %u in fbt record %llu of '%s'",
               kind,
-              static_cast<unsigned long long>(passOps
-                                              + /* current */ 1),
+              static_cast<unsigned long long>(record),
               spec.path.c_str());
     }
     out->addr = static_cast<Addr>(getLE64(rec + 5));

@@ -249,7 +249,10 @@ class TraceStream
     void startPass();
     void readFbtHeader(bool first);
     std::size_t fillRaw(char *dst, std::size_t n);
-    void decodeRecord(const char *rec, TraceOp *out);
+    /** Decode @p rec, the pass's @p record-th (1-based, for the
+     *  error message). */
+    void decodeRecord(const char *rec, std::uint64_t record,
+                      TraceOp *out);
 
     TraceSpec spec;
     TraceFormat fmt = TraceFormat::Text;

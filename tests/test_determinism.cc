@@ -55,9 +55,8 @@ digest(const RunResult &r)
     os << std::hexfloat; // doubles bit-exact, not rounded
     os << "ticks " << r.measuredTicks << " lat " << r.avgReadLatencyNs
        << " bw " << r.bandwidthGBs << "\n";
-    os << "reads " << r.reads << " writes " << r.writes << " ambHits "
-       << r.ambHits << " cov " << r.coverage << " eff " << r.efficiency
-       << "\n";
+    os << "reads " << r.reads << " writes " << r.writes << " cov "
+       << r.coverage << " eff " << r.efficiency << "\n";
     os << "ipc";
     for (double v : r.ipc)
         os << ' ' << v;
@@ -71,7 +70,7 @@ digest(const RunResult &r)
     os << "ops " << r.ops.actPre << ' ' << r.ops.rdCas << ' '
        << r.ops.wrCas << ' ' << r.ops.refresh << "\n";
     os << "l2 " << r.l2Misses << ' ' << r.l2Hits << ' '
-       << r.swPrefetchesSent << " late " << r.latePrefetchHits << "\n";
+       << r.swPrefetchesSent << "\n";
     for (const LatencyClassStats *s :
          {&r.latDemand, &r.latPrefHit, &r.latWrite})
         os << "latclass " << s->samples << ' ' << s->p50Ns << ' '

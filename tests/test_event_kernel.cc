@@ -215,7 +215,7 @@ TEST(EventKernelDeterminism, TwoIdenticalRunsIdenticalMetrics)
     EXPECT_EQ(a.measuredTicks, b.measuredTicks);
     EXPECT_EQ(a.reads, b.reads);
     EXPECT_EQ(a.writes, b.writes);
-    EXPECT_EQ(a.ambHits, b.ambHits);
+    EXPECT_EQ(a.prefetch.hits, b.prefetch.hits);
     EXPECT_EQ(a.avgReadLatencyNs, b.avgReadLatencyNs);
     EXPECT_EQ(a.bandwidthGBs, b.bandwidthGBs);
     EXPECT_EQ(a.ops.actPre, b.ops.actPre);

@@ -63,7 +63,7 @@ TEST(ExtensionsTest, McPrefetchRunsAndCovers)
     c.scheme = Interleave::MultiCacheline;
     c.mcBufPrefetch.policy = "region";
     auto r = runMix(c, mixByName("1C-swim"));
-    EXPECT_GT(r.ambHits, 0u) << "MC hits reported through ambHits";
+    EXPECT_GT(r.prefetch.hits, 0u) << "MC hits reported as prefetch hits";
     EXPECT_GT(r.coverage, 0.3);
     EXPECT_LE(r.coverage, 0.75 + 1e-9);
 }
@@ -76,7 +76,7 @@ TEST(ExtensionsTest, McPrefetchPerChannelStatsMatchRun)
     c.benchmarks = mixByName("2C-1").benches;
     System sys(c);
     const RunResult r = sys.run();
-    ASSERT_GT(r.ambHits, 0u);
+    ASSERT_GT(r.prefetch.hits, 0u);
 
     auto stat = [](const System::OwnedStatGroup &g, const char *name) {
         const auto *f =
@@ -94,7 +94,7 @@ TEST(ExtensionsTest, McPrefetchPerChannelStatsMatchRun)
         EXPECT_GT(stat(g, "efficiency"), 0.0) << g.group.name();
     }
     EXPECT_EQ(channels, sys.numControllers());
-    EXPECT_EQ(hits, static_cast<double>(r.ambHits));
+    EXPECT_EQ(hits, static_cast<double>(r.prefetch.hits));
 }
 
 TEST(ExtensionsTest, McPrefetchConsumesMoreChannelBandwidth)

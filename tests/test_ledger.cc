@@ -86,7 +86,7 @@ TEST(LedgerRecordTest, RealRowRoundTripsExactly)
     ASSERT_TRUE(met->get("reads")->isInteger());
     EXPECT_EQ(met->get("reads")->asUint64(), rows[0].result.reads);
     EXPECT_EQ(met->get("amb_hits")->asUint64(),
-              rows[0].result.ambHits);
+              rows[0].result.prefetch.hits);
     EXPECT_EQ(met->get("ipc_sum")->asNumber(),
               rows[0].result.ipcSum());
 }

@@ -38,12 +38,12 @@ expectGolden(const RunResult &r)
 {
     EXPECT_EQ(r.reads, 1022u);
     EXPECT_EQ(r.writes, 376u);
-    EXPECT_EQ(r.ambHits, 666u);
+    EXPECT_EQ(r.prefetch.hits, 666u);
     EXPECT_EQ(r.measuredTicks, 6231000u);
     EXPECT_EQ(r.ops.actPre, 728u);
     EXPECT_EQ(r.ops.cas(), 1786u);
     EXPECT_EQ(r.ops.refresh, 6u);
-    EXPECT_EQ(r.latePrefetchHits, 80u);
+    EXPECT_EQ(r.prefetch.lateHits, 80u);
     // Bit-exact doubles: the refactor must not reorder a single
     // floating-point operation in the measured path.
     EXPECT_EQ(r.coverage, 0.65166340508806264);
@@ -79,8 +79,6 @@ TEST(PolicyInvisibility, PrefetchStatsBlockIsConsistent)
     System sys(golden());
     const RunResult r = sys.run();
     EXPECT_EQ(r.prefetch.policy, "region");
-    EXPECT_EQ(r.prefetch.hits, r.ambHits);
-    EXPECT_EQ(r.prefetch.lateHits, r.latePrefetchHits);
     EXPECT_EQ(r.prefetch.dropped, 0u);
     EXPECT_GT(r.prefetch.issued, r.prefetch.hits);
     // efficiency == hits / issued by construction.

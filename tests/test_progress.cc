@@ -278,7 +278,7 @@ TEST(ProgressPulseTest, PulseIsInvisibleToResults)
     EXPECT_EQ(a.measuredTicks, b.measuredTicks);
     EXPECT_EQ(a.reads, b.reads);
     EXPECT_EQ(a.writes, b.writes);
-    EXPECT_EQ(a.ambHits, b.ambHits);
+    EXPECT_EQ(a.prefetch.hits, b.prefetch.hits);
     EXPECT_EQ(a.ipcSum(), b.ipcSum());
     EXPECT_EQ(a.avgReadLatencyNs, b.avgReadLatencyNs);
     EXPECT_EQ(a.bandwidthGBs, b.bandwidthGBs);

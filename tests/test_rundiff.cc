@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <map>
+#include <sstream>
 #include <string>
 
 #include "common/json.hh"
@@ -249,4 +250,24 @@ TEST(DiffTest, ZeroBaselineDoesNotDivideByZero)
     const DiffReport r = diffRuns(a, b, opt);
     EXPECT_TRUE(r.failed());
     EXPECT_TRUE(std::isfinite(r.changed[0].relDelta));
+}
+
+TEST(DiffTest, ZeroBaselinePrintsFromZero)
+{
+    const auto a = flatOf(R"({"hits": 0, "rate": 100})");
+    const auto b = flatOf(R"({"hits": 495, "rate": 150})");
+    DiffOptions opt;
+    opt.tolerance = 0.0;
+    const DiffReport r = diffRuns(a, b, opt);
+    // The label changes; the regression decision does not.
+    ASSERT_EQ(r.changed.size(), 2u);
+    EXPECT_TRUE(r.failed());
+    std::ostringstream os;
+    printDiffReport(r, os, false);
+    const std::string out = os.str();
+    EXPECT_NE(out.find("hits  0 -> 495  (from 0)\n"), std::string::npos)
+        << out;
+    EXPECT_NE(out.find("rate  100 -> 150  (+50.00%)\n"),
+              std::string::npos)
+        << out;
 }

@@ -32,7 +32,7 @@ TEST(SystemTest, Ddr2SingleCoreRuns)
     EXPECT_GT(r.reads, 0u);
     EXPECT_GT(r.bandwidthGBs, 0.0);
     EXPECT_GT(r.avgReadLatencyNs, 30.0);
-    EXPECT_EQ(r.ambHits, 0u);
+    EXPECT_EQ(r.prefetch.hits, 0u);
 }
 
 TEST(SystemTest, FbdSingleCoreRuns)
@@ -50,7 +50,7 @@ TEST(SystemTest, FbdApSingleCoreRuns)
     auto r = runMix(quick(SystemConfig::fbdAp()),
                     mixByName("1C-swim"));
     EXPECT_GT(r.ipc[0], 0.0);
-    EXPECT_GT(r.ambHits, 0u);
+    EXPECT_GT(r.prefetch.hits, 0u);
     EXPECT_GT(r.coverage, 0.0);
     EXPECT_LE(r.coverage, 0.75 + 1e-9);  // bound for K=4
     EXPECT_GT(r.efficiency, 0.0);

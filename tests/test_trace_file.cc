@@ -459,6 +459,33 @@ TEST_F(TraceStreamTest, EmptyAndCorruptFilesAreFatal)
         },
         "truncated");
 
+    // A bad op kind names its record's position in the pass, also
+    // when it falls in a later chunk than the first (64-byte chunks
+    // hold fewer than five 13-byte records).
+    {
+        TraceWriter w(fbtPath, TraceFormat::Fbt, false, "badkind");
+        TraceOp op;
+        for (int i = 0; i < 10; ++i)
+            w.append(op);
+        w.close();
+        std::fstream io(fbtPath,
+                        std::ios::in | std::ios::out | std::ios::binary);
+        io.seekp(-5 * static_cast<std::streamoff>(fbtRecordBytes) + 4,
+                 std::ios::end);
+        io.put(7);
+    }
+    for (std::size_t chunk : {std::size_t(0), std::size_t(64)}) {
+        EXPECT_DEATH(
+            {
+                TracePassReader in(spec(fbtPath, chunk));
+                TraceOp op;
+                while (in.next(&op)) {
+                }
+            },
+            "unknown trace op kind 7 in fbt record 6 ")
+            << "chunk " << chunk;
+    }
+
     // Forcing fbt on a text file trips the magic check.
     record(10);
     {
